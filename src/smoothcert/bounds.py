@@ -34,7 +34,7 @@ _GRID_POINTS = 1024
 class BoundInputs:
     """Class-probability bounds and noise level feeding a radius formula.
 
-    Invariants: 0 <= pb_upper <= pa_lower <= 1 and sigma > 0.
+    Invariants: 0 <= pb_upper <= pa_lower <= 1 and 0 < sigma < inf.
     """
 
     pa_lower: float
@@ -44,8 +44,8 @@ class BoundInputs:
     def __post_init__(self):
         if not 0.0 <= self.pb_upper <= self.pa_lower <= 1.0:
             raise ValueError("need 0 <= pb_upper <= pa_lower <= 1")
-        if not self.sigma > 0.0:
-            raise ValueError("sigma must be positive")
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError("sigma must be positive and finite")
 
 
 def tight_radius(inputs: BoundInputs) -> float:

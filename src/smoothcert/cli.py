@@ -50,6 +50,9 @@ def _load_config(path) -> dict:
         raise UsageError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(config, dict):
         raise UsageError(f"config file {path} must contain a JSON object")
+    unknown = sorted(set(config) - set(_PROTOCOL_DEFAULTS))
+    if unknown:
+        raise UsageError(f"config file {path} has unknown keys: {', '.join(unknown)}")
     return config
 
 
@@ -62,11 +65,22 @@ def _resolve(args, config: dict, key: str, required: bool = False):
     return value
 
 
-def _smoothing_params(args, config) -> SmoothingParams:
-    return SmoothingParams(sigma=float(_resolve(args, config, "sigma", required=True)),
-                           n0=int(_resolve(args, config, "n0")),
-                           n=int(_resolve(args, config, "n")),
-                           alpha=float(_resolve(args, config, "alpha")))
+def _protocol(args, config) -> tuple[SmoothingParams, int, int, int]:
+    """Smoothing parameters, seed, parallelism and batch size, checked up front."""
+    try:
+        params = SmoothingParams(sigma=float(_resolve(args, config, "sigma", required=True)),
+                                 n0=int(_resolve(args, config, "n0")),
+                                 n=int(_resolve(args, config, "n")),
+                                 alpha=float(_resolve(args, config, "alpha")))
+        seed, parallelism, batch_size = (int(_resolve(args, config, key))
+                                         for key in ("seed", "parallelism", "batch_size"))
+    except (TypeError, ValueError) as exc:
+        raise UsageError(str(exc))
+    if parallelism < 1:
+        raise UsageError("--parallelism must be >= 1")
+    if batch_size < 1:
+        raise UsageError("--batch-size must be >= 1")
+    return params, seed, parallelism, batch_size
 
 
 def _open_dataset(path):
@@ -107,11 +121,7 @@ def _add_sampling_flags(sub, with_n0: bool = True):
 
 
 def _run_certify(args) -> int:
-    config = _load_config(args.config)
-    params = _smoothing_params(args, config)
-    seed = int(_resolve(args, config, "seed"))
-    parallelism = int(_resolve(args, config, "parallelism"))
-    batch_size = int(_resolve(args, config, "batch_size"))
+    params, seed, parallelism, batch_size = _protocol(args, _load_config(args.config))
     features, labels = _open_dataset(args.data)
     model = _open_model(args.model)
     _check_dims(model, features)
@@ -147,13 +157,8 @@ def _run_certify(args) -> int:
 
 
 def _run_predict(args) -> int:
-    config = _load_config(args.config)
-    sigma = float(_resolve(args, config, "sigma", required=True))
-    n = int(_resolve(args, config, "n"))
-    alpha = float(_resolve(args, config, "alpha"))
-    seed = int(_resolve(args, config, "seed"))
-    parallelism = int(_resolve(args, config, "parallelism"))
-    batch_size = int(_resolve(args, config, "batch_size"))
+    params, seed, parallelism, batch_size = _protocol(args, _load_config(args.config))
+    sigma, n, alpha = params.sigma, params.n, params.alpha
     features, labels = _open_dataset(args.data)
     model = _open_model(args.model)
     _check_dims(model, features)
@@ -209,10 +214,13 @@ def _run_train(args) -> int:
     config = _load_config(args.config)
     seed = int(_resolve(args, config, "seed"))
     features, labels = _open_dataset(args.data)
-    cfg = TrainConfig(sigma_train=args.sigma_train, epochs=args.epochs,
-                      learning_rate=args.lr, batch_size=args.train_batch_size,
-                      seed=seed, model_kind=args.model_kind,
-                      hidden_width=args.hidden_width)
+    try:
+        cfg = TrainConfig(sigma_train=args.sigma_train, epochs=args.epochs,
+                          learning_rate=args.lr, batch_size=args.train_batch_size,
+                          seed=seed, model_kind=args.model_kind,
+                          hidden_width=args.hidden_width)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     examples = [LabeledExample(x, int(y)) for x, y in zip(features, labels)]
     model = train_with_noise(examples, cfg)
     save_model(model, args.out)

@@ -9,6 +9,7 @@ downstream).
 from __future__ import annotations
 
 import csv
+import math
 
 import numpy as np
 
@@ -41,6 +42,8 @@ def read_csv(path) -> tuple[np.ndarray, np.ndarray]:
                 rows.append([float(row[j]) for j in feature_idx])
             except (ValueError, IndexError) as exc:
                 raise ValueError(f"{path}:{line_no}: malformed row") from exc
+            if not all(map(math.isfinite, rows[-1])):
+                raise ValueError(f"{path}:{line_no}: non-finite feature value")
     if not rows:
         raise ValueError(f"{path}: no data rows")
     labels_arr = np.asarray(labels, dtype=np.int64)

@@ -10,8 +10,7 @@ produced in any order, on any number of workers, with bit-identical results.
 from __future__ import annotations
 
 import numpy as np
-
-from .statfun import std_normal_quantile
+from scipy.special import ndtri
 
 _MASK = (1 << 64) - 1
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -55,9 +54,10 @@ class NoiseStream:
         Deviate (i, j) depends only on (run_seed, example_id, start + i, j).
         """
         bits = self.uniform_bits(example_id, start, stop, dim)
-        # 53-bit mantissa, centered half a step away from 0 and 1
+        # 53-bit mantissa, centered half a step away from 0 and 1, so u lies
+        # in (0, 1) and needs no domain check before the quantile
         u = ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0 ** -53)
-        return std_normal_quantile(u)
+        return ndtri(u)
 
     def normal(self, example_id: int, sample_index: int, coordinate: int) -> float:
         """Single deviate; equals the matching entry of any block containing it."""

@@ -19,6 +19,7 @@ bit-identical across reruns, batch sizes, and worker counts.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -99,8 +100,8 @@ class SmoothingParams:
     alpha: float = 0.001
 
     def __post_init__(self):
-        if not self.sigma > 0.0:
-            raise ValueError("sigma must be positive")
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError("sigma must be positive and finite")
         if self.n0 < 1 or self.n < 1:
             raise ValueError("sample counts must be >= 1")
         if not 0.0 < self.alpha < 1.0:
@@ -173,9 +174,11 @@ def sample_under_noise(f: BaseClassifier, x: np.ndarray, num: int, sigma: float,
     """
     if num < 1:
         raise ValueError("num must be >= 1")
-    if not sigma > 0.0:
-        raise ValueError("sigma must be positive")
+    if not 0.0 < sigma < math.inf:
+        raise ValueError("sigma must be positive and finite")
     x = np.asarray(x, dtype=np.float64)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("x must be finite")
     dim = x.shape[0]
 
     def count_range(lo: int, hi: int) -> np.ndarray:

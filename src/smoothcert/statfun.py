@@ -1,12 +1,17 @@
 """Scalar statistical primitives: normal CDF/quantile and exact binomial tails.
 
 Everything downstream (certified radii, confidence bounds, abstention tests)
-reduces to these functions, so they are built for accuracy rather than speed:
-the normal CDF is computed from erfc (max error well below 1e-12), the
-quantile is a rational approximation polished by Newton steps on the CDF, and
-binomial tails are summed in log space so they stay finite out to n = 1e7.
+reduces to these functions:
 
-All functions accept floats or numpy arrays and broadcast elementwise.
+* the normal CDF and quantile are scipy's ``ndtr`` and ``ndtri``;
+* the Clopper-Pearson lower bound is the beta quantile ``betaincinv``, rounded
+  down until the binomial upper tail at the result is at most alpha, so
+  floating-point error never puts the bound on the unsafe side;
+* binomial CDFs for the abstention test are summed in log space so they stay
+  finite out to n = 1e7.
+
+The normal CDF and quantile accept floats or numpy arrays and broadcast
+elementwise.
 """
 
 from __future__ import annotations
@@ -14,93 +19,36 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erfc, gammaln, logsumexp
-
-_SQRT2 = math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-# Acklam's rational approximation to the inverse normal CDF (|rel err| < 1.2e-9
-# before refinement).
-_ACKLAM_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-             1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_ACKLAM_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-             6.680131188771972e+01, -1.328068155288572e+01)
-_ACKLAM_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-             -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_ACKLAM_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-             3.754408661907416e+00)
-_ACKLAM_PLOW = 0.02425
+from scipy.special import betainc, betaincinv, gammaln, logsumexp, ndtr, ndtri
 
 # Chunk size for log-space binomial sums; bounds peak memory at a few MB even
 # for n = 1e7.
 _CHUNK = 1 << 20
 
+# Relative margin below alpha that the Clopper-Pearson tail must reach, so the
+# stopping test does not rely on the last digits of betainc (measured relative
+# error up to 3.4e-14 against 40-digit sums for n up to 2e6).
+_TAIL_MARGIN = 1e-12
+
 
 def std_normal_cdf(z):
-    """Standard normal CDF Phi(z) = P(Z <= z), accurate to ~1e-16.
+    """Standard normal CDF Phi(z) = P(Z <= z), scipy's ``ndtr``.
 
     Saturates to 0/1 in the extreme tails instead of raising.
     """
-    z = np.asarray(z, dtype=np.float64)
-    out = 0.5 * erfc(-z / _SQRT2)
+    out = ndtr(np.asarray(z, dtype=np.float64))
     return float(out) if out.ndim == 0 else out
-
-
-def std_normal_pdf(z):
-    """Standard normal density phi(z)."""
-    z = np.asarray(z, dtype=np.float64)
-    out = _INV_SQRT_2PI * np.exp(-0.5 * z * z)
-    return float(out) if out.ndim == 0 else out
-
-
-def _acklam(p: np.ndarray) -> np.ndarray:
-    a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
-    out = np.empty_like(p)
-
-    low = p < _ACKLAM_PLOW
-    high = p > 1.0 - _ACKLAM_PLOW
-    mid = ~(low | high)
-
-    if np.any(low):
-        q = np.sqrt(-2.0 * np.log(p[low]))
-        out[low] = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-                   ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    if np.any(high):
-        q = np.sqrt(-2.0 * np.log1p(-p[high]))
-        out[high] = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-                    ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    if np.any(mid):
-        q = p[mid] - 0.5
-        r = q * q
-        out[mid] = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
-                   (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-    return out
 
 
 def std_normal_quantile(p):
-    """Inverse standard normal CDF, |Phi(z) - p| <= 1e-12.
-
-    Rational initial guess refined by two Newton steps on the CDF; the
-    residual Phi(z) - p is evaluated through whichever tail is smaller so
-    the correction does not cancel for p near 0 or 1.
+    """Inverse standard normal CDF, scipy's ``ndtri``.
 
     Raises ValueError for p outside the open interval (0, 1).
     """
     arr = np.asarray(p, dtype=np.float64)
     if np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise ValueError("quantile requires 0 < p < 1")
-
-    z = _acklam(np.atleast_1d(arr).copy())
-    pv = np.atleast_1d(arr)
-    upper = pv > 0.5
-    q = np.where(upper, 1.0 - pv, pv)  # mass of the tail z sits in
-    for _ in range(2):
-        tail = 0.5 * erfc(np.abs(z) / _SQRT2)
-        # residual Phi(z) - p, expressed tail-side to avoid cancellation
-        resid = np.where(upper, q - tail, tail - q)
-        z = z - resid / std_normal_pdf(z)
-
-    out = z.reshape(arr.shape)
+    out = ndtri(arr)
     return float(out) if out.ndim == 0 else out
 
 
@@ -152,10 +100,14 @@ def binom_two_sided_pvalue(k: int, n: int, p0: float = 0.5) -> float:
 def clopper_pearson_lower(k: int, n: int, alpha: float) -> float:
     """One-sided (1 - alpha) lower confidence limit for a binomial proportion.
 
-    Returns the largest p such that P(Binomial(n, p) >= k) <= alpha, found by
-    bisection on the log binomial CDF to absolute tolerance 1e-10.  Guarantees
+    Clopper & Pearson (1934) give P(Binomial(n, p) >= k) = I_p(k, n - k + 1),
+    so the limit is the beta quantile ``betaincinv(k, n - k + 1, alpha)``.
+    That quantile lands on either side of the root, so p is rounded down, by
+    a step that doubles from one ulp, until ``betainc`` puts the tail below
+    alpha by a relative margin of 1e-12.  (scipy's ``bdtrc`` is not used for
+    this check: at n near 1e6 it is off by up to 4e-9 relative.)  Guarantees
     P(result <= p_true) >= 1 - alpha over the sampling of k.  The k = 0 case
-    returns 0 exactly; the k = n case solves p^n = alpha, i.e. alpha^(1/n).
+    returns 0 exactly; the k = n case solves p^n = alpha.
     """
     if not 0 <= k <= n or n < 1:
         raise ValueError("need 0 <= k <= n and n >= 1")
@@ -164,20 +116,10 @@ def clopper_pearson_lower(k: int, n: int, alpha: float) -> float:
     if k == 0:
         return 0.0
 
-    # P(X >= k) <= alpha  <=>  P(X <= k-1) >= 1 - alpha; the CDF at k-1 is
-    # strictly decreasing in p, so feasible p form an interval [0, p*].
-    target = math.log1p(-alpha)
-    i = np.arange(0, k, dtype=np.float64)
-    log_coeff = gammaln(n + 1.0) - gammaln(i + 1.0) - gammaln(n - i + 1.0)
-
-    def log_cdf_km1(p: float) -> float:
-        return float(logsumexp(log_coeff + i * math.log(p) + (n - i) * math.log1p(-p)))
-
-    lo, hi = 0.0, 1.0
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        if log_cdf_km1(mid) >= target:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    p = float(betaincinv(k, n - k + 1, alpha))
+    limit = alpha * (1.0 - _TAIL_MARGIN)
+    step = math.ulp(p)
+    while p > 0.0 and betainc(k, n - k + 1, p) > limit:
+        p = max(p - step, 0.0)
+        step *= 2.0
+    return p

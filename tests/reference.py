@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
@@ -38,16 +37,21 @@ def normal_quantile(p: float) -> float:
     return float((lo + hi) / 2)
 
 
-@lru_cache(maxsize=None)
-def _binom_pmf_table(n: int, p_num: int, p_den: int) -> tuple:
-    p = Fraction(p_num, p_den)
-    return tuple(Fraction(math.comb(n, k)) * p**k * (1 - p)**(n - k)
-                 for k in range(n + 1))
-
-
 def exact_binom_cdf(k: int, n: int, p: Fraction) -> Fraction:
-    table = _binom_pmf_table(n, p.numerator, p.denominator)
-    return sum(table[:k + 1], Fraction(0))
+    """P(Binomial(n, p) <= k) as an exact rational, summed in integers."""
+    num, den = p.numerator, p.denominator
+    total = sum(math.comb(n, j) * num**j * (den - num)**(n - j) for j in range(k + 1))
+    return Fraction(total, den**n)
+
+
+def binom_upper_tail(k: int, n: int, p: float) -> mp.mpf:
+    """P(Binomial(n, p) >= k) to 40 digits, summed term by term in mpmath
+    over whichever side of k has fewer terms."""
+    p = mp.mpf(p)
+    upper = n - k < k
+    side = range(k, n + 1) if upper else range(k)
+    total = mp.fsum(mp.binomial(n, j) * p**j * (1 - p)**(n - j) for j in side)
+    return total if upper else 1 - total
 
 
 def exact_two_sided_pvalue(k: int, n: int) -> Fraction:

@@ -130,6 +130,55 @@ class TestCertifyCommand:
         assert records[0].sigma == 0.5
 
 
+class TestInputValidation:
+    @pytest.mark.parametrize("command,bad", [
+        ("certify", ["--n", "0"]), ("certify", ["--n0", "0"]),
+        ("certify", ["--sigma", "0"]), ("certify", ["--sigma", "inf"]),
+        ("certify", ["--alpha", "1.5"]),
+        ("certify", ["--batch-size", "0"]), ("certify", ["--parallelism", "0"]),
+        ("certify", ["--parallelism", "-3"]), ("predict", ["--n", "0"]),
+        ("predict", ["--batch-size", "0"]), ("predict", ["--parallelism", "0"]),
+    ])
+    def test_bad_protocol_values_exit_2_before_writing(self, tmp_path, dataset_path,
+                                                       linear_model_path, command, bad):
+        out = tmp_path / "out.jsonl"
+        code = main([command, "--data", dataset_path, "--model", linear_model_path,
+                     "--out", str(out), "--sigma", "0.5", "--n", "50"] + bad)
+        assert code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", [["--epochs", "0"], ["--lr", "nan"],
+                                     ["--batch-size", "0"], ["--hidden-width", "0"]])
+    def test_bad_train_options_exit_2(self, tmp_path, dataset_path, bad):
+        out = tmp_path / "m.model"
+        code = main(["train", "--data", dataset_path, "--out", str(out),
+                     "--model-kind", "mlp"] + bad)
+        assert code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("row", ["0,nan,0", "1,0.5,inf"])
+    def test_non_finite_features_exit_2_naming_line(self, tmp_path, capsys, row):
+        data = tmp_path / "data.csv"
+        data.write_text(f"label,x0,x1\n0,-1.0,0.5\n{row}\n")
+        model_path = tmp_path / "sum.model"
+        save_model(LinearModel([1.0, 1.0], 0.0), model_path)
+        code = main(["certify", "--data", str(data), "--model", str(model_path),
+                     "--out", str(tmp_path / "r.jsonl"), "--sigma", "0.5",
+                     "--n0", "20", "--n", "200"])
+        assert code == 2
+        assert "data.csv:3" in capsys.readouterr().err
+
+    def test_unknown_config_keys_exit_2(self, tmp_path, dataset_path, linear_model_path,
+                                        capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"sigma": 0.5, "nn": 10, "alpah": 0.5}))
+        code = main(["certify", "--data", dataset_path, "--model", linear_model_path,
+                     "--out", str(tmp_path / "r.jsonl"), "--config", str(config)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "alpah" in err and "nn" in err
+
+
 class TestPredictCommand:
     def test_writes_prediction_records(self, tmp_path, dataset_path, linear_model_path):
         out = tmp_path / "preds.jsonl"
@@ -157,6 +206,7 @@ class TestBoundsCommand:
 
     def test_invalid_inputs_exit_2(self, capsys):
         assert main(["bounds", "--pa", "0.3", "--pb", "0.6"]) == 2
+        assert main(["bounds", "--pa", "0.9", "--sigma", "inf"]) == 2
 
 
 class TestTrainCommand:

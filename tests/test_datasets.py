@@ -59,6 +59,13 @@ class TestCsv:
         with pytest.raises(ValueError, match="bad2.csv:3"):
             read_csv(path)
 
+    def test_non_finite_features_rejected(self, tmp_path):
+        for text in ("nan", "inf", "-inf"):
+            path = tmp_path / "nonfinite.csv"
+            path.write_text(f"label,x0,x1\n0,1.0,2.0\n1,0.5,{text}\n")
+            with pytest.raises(ValueError, match="nonfinite.csv:3: non-finite"):
+                read_csv(path)
+
     def test_negative_labels_rejected(self, tmp_path):
         path = tmp_path / "neg.csv"
         path.write_text("label,x0\n-1,0.5\n")

@@ -75,6 +75,12 @@ class TestSampleUnderNoise:
             sample_under_noise(ConstantClassifier(0), np.zeros(2), 0, 1.0,
                                NoiseStream(0), example_id=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            sample_under_noise(LinearModel([1.0, 1.0], 0.0), np.array([0.5, bad]), 10,
+                               1.0, NoiseStream(0), example_id=0)
+
 
 class TestDecidePrediction:
     def test_lopsided_counts_return_label(self):

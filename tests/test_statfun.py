@@ -220,6 +220,33 @@ class TestClopperPearsonLower:
         with pytest.raises(ValueError):
             clopper_pearson_lower(3, 4, 0.0)
 
+    @pytest.mark.parametrize("alpha", [0.001, 0.05, 0.2686, 0.5])
+    def test_bound_errs_on_safe_side_exactly(self, alpha):
+        """Exact rationals: the returned p never has upper tail above alpha.
+
+        Covers every k at every n <= 60.  The raw beta quantile overshoots in
+        about half of these cases, and stopping at tail <= alpha without the
+        relative margin leaves about a sixth of them slightly over alpha.
+        """
+        bound = Fraction(alpha)
+        for n in range(1, 61):
+            for k in range(1, n + 1):
+                p = clopper_pearson_lower(k, n, alpha)
+                assert 1 - reference.exact_binom_cdf(k - 1, n, Fraction(p)) <= bound, (k, n)
+
+    # Each case is unsafe without the step-down (raw beta quantile); the
+    # third and fourth also without the 1e-12 margin; the first, third,
+    # fourth and fifth also when scipy's bdtrc decides when to stop.
+    @pytest.mark.parametrize("k,n,alpha", [(99000, 100000, 1e-3), (419, 585662, 0.2686),
+                                           (1184, 316053, 1e-3), (27, 1566000, 0.005),
+                                           (1425095, 1425251, 1e-4)])
+    def test_bound_errs_on_safe_side_large_n(self, k, n, alpha):
+        """40-digit mpmath tails (no scipy) at large n: tail <= alpha, and the
+        bound lies less than 1e-10 relative below the root."""
+        p = clopper_pearson_lower(k, n, alpha)
+        assert reference.binom_upper_tail(k, n, p) <= alpha
+        assert reference.binom_upper_tail(k, n, p * (1 + 1e-10)) > alpha
+
     @given(st.integers(min_value=1, max_value=60), st.integers(min_value=0, max_value=60))
     @settings(max_examples=60, deadline=None)
     def test_sound_direction_property(self, n, k):
