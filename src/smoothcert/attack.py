@@ -14,6 +14,7 @@ value itself proves nothing about the vote.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,8 +41,8 @@ class AttackParams:
     seed: int = 0
 
     def __post_init__(self):
-        if not (self.radius > 0.0 and self.sigma > 0.0 and self.step_size > 0.0):
-            raise ValueError("radius, sigma, and step_size must be positive")
+        if not all(0.0 < v < math.inf for v in (self.radius, self.sigma, self.step_size)):
+            raise ValueError("radius, sigma, and step_size must be positive and finite")
         if self.k < 1 or self.steps < 1:
             raise ValueError("k and steps must be >= 1")
 

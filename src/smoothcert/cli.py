@@ -15,8 +15,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -25,9 +28,9 @@ from .attack import AttackParams, pgd_attack
 from .datasets import GENERATORS, read_csv, write_csv
 from .modelio import load_model, save_model
 from .noise import NoiseStream
-from .records import CertificationRecord, RecordWriter, read_records
+from .records import CertificationRecord, RecordWriter, certification_fields, read_records
 from .report import accuracy_curve, projected_curve, render_json, render_tsv
-from .smoothing import SmoothingParams, certify_detailed, sample_under_noise, decide_prediction
+from .smoothing import SmoothingParams, certify, predict
 from .training import LabeledExample, TrainConfig, train_with_noise
 
 _PROTOCOL_DEFAULTS = {"sigma": None, "n0": 100, "n": 100_000, "alpha": 0.001,
@@ -83,29 +86,24 @@ def _protocol(args, config) -> tuple[SmoothingParams, int, int, int]:
     return params, seed, parallelism, batch_size
 
 
-def _open_dataset(path):
+def _read_input(read, path, what: str):
+    """read(path); a missing or malformed file is a usage error (the readers name it)."""
     try:
-        return read_csv(path)
+        return read(path)
     except FileNotFoundError:
-        raise UsageError(f"dataset file not found: {path}")
+        raise UsageError(f"{what} file not found: {path}")
     except ValueError as exc:
         raise UsageError(str(exc))
 
 
-def _open_model(path):
-    try:
-        return load_model(path)
-    except FileNotFoundError:
-        raise UsageError(f"model file not found: {path}")
-    except ValueError as exc:
-        raise UsageError(str(exc))
-
-
-def _check_dims(model, features) -> None:
-    dim = getattr(model, "dim", 0)
-    if dim and features.shape[1] != dim:
-        raise UsageError(f"model expects dimension {dim}, dataset has "
+def _open_inputs(args):
+    """(features, labels, model) from --data and --model, dimensions checked."""
+    features, labels = _read_input(read_csv, args.data, "dataset")
+    model = _read_input(load_model, args.model, "model")
+    if model.dim and features.shape[1] != model.dim:  # dim 0 accepts any input
+        raise UsageError(f"model expects dimension {model.dim}, dataset has "
                          f"{features.shape[1]} features")
+    return features, labels, model
 
 
 def _add_sampling_flags(sub, with_n0: bool = True):
@@ -122,9 +120,7 @@ def _add_sampling_flags(sub, with_n0: bool = True):
 
 def _run_certify(args) -> int:
     params, seed, parallelism, batch_size = _protocol(args, _load_config(args.config))
-    features, labels = _open_dataset(args.data)
-    model = _open_model(args.model)
-    _check_dims(model, features)
+    features, labels, model = _open_inputs(args)
     stream = NoiseStream(seed)
 
     n_certified = n_abstained = n_wrong = 0
@@ -132,9 +128,8 @@ def _run_certify(args) -> int:
     with RecordWriter(args.out) as writer:
         for idx, (x, true_label) in enumerate(zip(features, labels)):
             t0 = time.perf_counter()
-            cert, c_hat, counts = certify_detailed(
-                model, params, x, stream, example_id=idx,
-                batch_size=batch_size, parallelism=parallelism)
+            cert = certify(model, params, x, stream, example_id=idx,
+                           batch_size=batch_size, parallelism=parallelism)
             wall_ms = 0.0 if args.no_timing else (time.perf_counter() - t0) * 1000.0
             if cert.abstained:
                 n_abstained += 1
@@ -144,10 +139,7 @@ def _run_certify(args) -> int:
                 n_wrong += 1
             writer.write(CertificationRecord(
                 example_index=idx, true_label=int(true_label),
-                outcome="abstain" if cert.abstained else "certified",
-                predicted_label=c_hat, radius=cert.radius, pa_lower=cert.pa_lower,
-                counts={c: int(v) for c, v in enumerate(counts.counts) if v}
-                if args.store_counts else None,
+                **certification_fields(cert, store_counts=args.store_counts),
                 sigma=params.sigma, n0=params.n0, n=params.n, alpha=params.alpha,
                 seed=seed, wall_time_ms=wall_ms))
     total_ms = (time.perf_counter() - t_start) * 1000.0
@@ -158,22 +150,16 @@ def _run_certify(args) -> int:
 
 def _run_predict(args) -> int:
     params, seed, parallelism, batch_size = _protocol(args, _load_config(args.config))
-    sigma, n, alpha = params.sigma, params.n, params.alpha
-    features, labels = _open_dataset(args.data)
-    model = _open_model(args.model)
-    _check_dims(model, features)
+    features, labels, model = _open_inputs(args)
     stream = NoiseStream(seed)
 
     n_predicted = n_abstained = n_wrong = 0
     t_start = time.perf_counter()
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"schema_version": 1, "kind": "prediction"}) + "\n")
-        fh.flush()
+    with RecordWriter(args.out, kind="prediction") as writer:
         for idx, (x, true_label) in enumerate(zip(features, labels)):
             t0 = time.perf_counter()
-            counts = sample_under_noise(model, x, n, sigma, stream, example_id=idx,
-                                        batch_size=batch_size, parallelism=parallelism)
-            outcome = decide_prediction(counts, alpha)
+            outcome = predict(model, params, x, stream, example_id=idx,
+                              batch_size=batch_size, parallelism=parallelism)
             wall_ms = 0.0 if args.no_timing else (time.perf_counter() - t0) * 1000.0
             if outcome.abstained:
                 n_abstained += 1
@@ -181,12 +167,11 @@ def _run_predict(args) -> int:
                 n_predicted += 1
             else:
                 n_wrong += 1
-            fh.write(json.dumps({
+            writer.write({
                 "example_index": idx, "true_label": int(true_label),
                 "outcome": "abstain" if outcome.abstained else "predicted",
-                "predicted_label": outcome.label, "sigma": sigma, "n": n,
-                "alpha": alpha, "seed": seed, "wall_time_ms": wall_ms}) + "\n")
-            fh.flush()
+                "predicted_label": outcome.label, "sigma": params.sigma, "n": params.n,
+                "alpha": params.alpha, "seed": seed, "wall_time_ms": wall_ms})
     total_ms = (time.perf_counter() - t_start) * 1000.0
     print(f"predicted {n_predicted} abstained {n_abstained} wrong {n_wrong} "
           f"wall_ms {total_ms:.1f}", file=sys.stderr)
@@ -213,7 +198,7 @@ def _run_bounds(args) -> int:
 def _run_train(args) -> int:
     config = _load_config(args.config)
     seed = int(_resolve(args, config, "seed"))
-    features, labels = _open_dataset(args.data)
+    features, labels = _read_input(read_csv, args.data, "dataset")
     try:
         cfg = TrainConfig(sigma_train=args.sigma_train, epochs=args.epochs,
                           learning_rate=args.lr, batch_size=args.train_batch_size,
@@ -235,69 +220,59 @@ def _run_attack(args) -> int:
     config = _load_config(args.config)
     sigma = float(_resolve(args, config, "sigma", required=True))
     seed = int(_resolve(args, config, "seed"))
-    features, labels = _open_dataset(args.data)
-    model = _open_model(args.model)
-    _check_dims(model, features)
-
-    per_example_radius = {}
+    features, labels, model = _open_inputs(args)
     if args.records is not None:
-        for rec in read_records(args.records):
-            if rec.correct and rec.radius is not None:
-                per_example_radius[rec.example_index] = rec.radius * args.scale
-    elif args.radius is None:
+        if not args.scale > 0.0:
+            raise UsageError("--scale must be positive")
+        radii = {rec.example_index: rec.radius * args.scale
+                 for rec in _read_input(read_records, args.records, "records") if rec.correct}
+    elif args.radius is not None:
+        radii = dict.fromkeys(range(len(labels)), args.radius)
+    else:
         raise UsageError("attack needs --radius or --records with --scale")
+    try:
+        # every option is checked before the output opens; each example then
+        # gets its own radius and seed
+        params = AttackParams(radius=min(radii.values(), default=1.0), sigma=sigma,
+                              k=args.k, steps=args.steps, step_size=args.step_size,
+                              seed=seed)
+    except ValueError as exc:
+        raise UsageError(str(exc))
 
     n_success = n_run = 0
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"schema_version": 1, "kind": "attack"}) + "\n")
-        fh.flush()
+    with RecordWriter(args.out, kind="attack") as writer:
         for idx, (x, true_label) in enumerate(zip(features, labels)):
-            if args.records is not None:
-                if idx not in per_example_radius:
-                    continue
-                radius = per_example_radius[idx]
-            else:
-                radius = args.radius
-            params = AttackParams(radius=radius, sigma=sigma, k=args.k,
-                                  steps=args.steps, step_size=args.step_size,
-                                  seed=seed + idx)
-            result = pgd_attack(model, x, int(true_label), params)
+            if idx not in radii:
+                continue
+            example = replace(params, radius=radii[idx], seed=seed + idx)
+            result = pgd_attack(model, x, int(true_label), example)
             n_run += 1
             n_success += int(result.success)
-            fh.write(json.dumps({
+            writer.write({
                 "example_index": idx, "true_label": int(true_label),
-                "radius": radius, "success": result.success,
+                "radius": example.radius, "success": result.success,
                 "delta_norm": float(np.linalg.norm(result.delta)),
                 "zero_gradient_steps": result.zero_gradient_steps,
-                "seed": params.seed}) + "\n")
-            fh.flush()
+                "seed": example.seed})
     rate = n_success / n_run if n_run else 0.0
     print(f"attacked {n_run} succeeded {n_success} rate {rate:.4f}", file=sys.stderr)
     return 0
 
 
 def _parse_radii(text: str) -> list[float]:
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise UsageError("radii range must be start:stop:step")
-        start, stop, step = (float(p) for p in parts)
-        if step <= 0:
-            raise UsageError("radii step must be positive")
-        return [start + i * step for i in range(int((stop - start) / step + 1e-9) + 1)]
     try:
-        return [float(p) for p in text.split(",") if p.strip()]
+        if ":" not in text:
+            return [float(p) for p in text.split(",") if p.strip()]
+        start, stop, step = (float(p) for p in text.split(":"))
     except ValueError:
-        raise UsageError(f"cannot parse radii list: {text}")
+        raise UsageError(f"radii must be a comma list or start:stop:step, got {text}")
+    if not (step > 0.0 and math.isfinite(stop - start)):
+        raise UsageError("radii range needs finite ends and a positive step")
+    return [start + i * step for i in range(int((stop - start) / step + 1e-9) + 1)]
 
 
 def _run_report(args) -> int:
-    try:
-        records = read_records(args.records)
-    except FileNotFoundError:
-        raise UsageError(f"records file not found: {args.records}")
-    except (ValueError, json.JSONDecodeError) as exc:
-        raise UsageError(f"bad records file {args.records}: {exc}")
+    records = _read_input(read_records, args.records, "records")
     if not records:
         raise UsageError(f"{args.records}: no records")
     radii = _parse_radii(args.radii)
@@ -312,8 +287,7 @@ def _run_report(args) -> int:
     if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        Path(args.out).write_text(text, encoding="utf-8")
     return 0
 
 
@@ -324,7 +298,10 @@ def _run_dataset(args) -> int:
         kwargs["std1"] = args.std1
     elif args.std1 is not None:
         raise UsageError("--std1 only applies to two-gaussians")
-    features, labels = generator(args.count, **kwargs)
+    try:
+        features, labels = generator(args.count, **kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     write_csv(args.out, features, labels)
     print(f"wrote {len(labels)} examples to {args.out}", file=sys.stderr)
     return 0

@@ -31,13 +31,14 @@ from .statfun import std_normal_cdf, std_normal_quantile
 
 
 class ConstantClassifier(BaseClassifier):
-    """Returns the same label everywhere; smoothed behavior is trivial."""
+    """Returns the same label everywhere; dim 0 accepts inputs of any dimension."""
 
-    def __init__(self, label: int, num_labels: int = 2):
+    def __init__(self, label: int, num_labels: int = 2, dim: int = 0):
         if not 0 <= label < num_labels:
             raise ValueError("label must lie in range(num_labels)")
         self.label = label
         self.num_labels = num_labels
+        self.dim = dim
 
     def classify_batch(self, xs: np.ndarray) -> np.ndarray:
         return np.full(np.atleast_2d(xs).shape[0], self.label, dtype=np.int64)
@@ -121,6 +122,7 @@ class IntervalClassifier(BaseClassifier):
     inner_label: int = 0
     outer_label: int = 1
     num_labels: int = field(default=2, init=False)
+    dim: int = field(default=1, init=False)
 
     def __post_init__(self):
         if not self.t > 0.0:

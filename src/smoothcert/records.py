@@ -1,13 +1,23 @@
-"""Persisted per-example certification records (JSONL, schema version 1).
+"""Persisted per-example records (JSONL, schema version 1).
 
-Each run writes one header object {"schema_version": 1} followed by one
-record object per example.  Field names and order are frozen:
+Each run writes one header object followed by one record object per example.
+A certification file's header is {"schema_version": 1}; its record fields
+and their order are frozen:
 
     example_index, true_label, outcome ("certified" | "abstain"),
     predicted_label (null when no guess exists), radius (null when
     abstaining; infinity encoded as the string "inf"), pa_lower (null when
     abstaining), counts (optional {label: count} object), sigma, n0, n,
     alpha, seed, wall_time_ms
+
+Prediction and attack files name their kind in the header,
+{"schema_version": 1, "kind": "prediction"} or {..., "kind": "attack"}, and
+hold the fields
+
+    prediction: example_index, true_label, outcome ("predicted" | "abstain"),
+                predicted_label, sigma, n, alpha, seed, wall_time_ms
+    attack:     example_index, true_label, radius, success, delta_norm,
+                zero_gradient_steps, seed
 
 Unknown fields are never emitted; any addition requires a schema version
 bump.  Records are written line-at-a-time and flushed, so a crashed run
@@ -80,6 +90,14 @@ def _decode_radius(value):
     return math.inf if value == "inf" else float(value)
 
 
+def certification_fields(cert, store_counts: bool = True) -> dict:
+    """The record fields a smoothing.Certification decides, counts only if stored."""
+    return {"outcome": "abstain" if cert.abstained else "certified",
+            "predicted_label": cert.guess, "radius": cert.radius, "pa_lower": cert.pa_lower,
+            "counts": {c: int(v) for c, v in enumerate(cert.counts.counts) if v}
+            if store_counts else None}
+
+
 def encode_record(rec: CertificationRecord) -> str:
     obj = {
         "example_index": rec.example_index,
@@ -122,15 +140,22 @@ def decode_record(line: str) -> CertificationRecord:
 
 
 class RecordWriter:
-    """Incremental JSONL writer: every line is valid as soon as it returns."""
+    """Incremental JSONL writer: every line is valid as soon as it returns.
 
-    def __init__(self, path):
+    A "certification" file takes CertificationRecords; "prediction" and
+    "attack" files take dicts of the fields listed above."""
+
+    def __init__(self, path, kind: str = "certification"):
+        header = {"schema_version": SCHEMA_VERSION}
+        if kind != "certification":
+            header["kind"] = kind
+        self._encode = encode_record if kind == "certification" else json.dumps
         self._fh = open(path, "w", encoding="utf-8")
-        self._fh.write(json.dumps({"schema_version": SCHEMA_VERSION}) + "\n")
+        self._fh.write(json.dumps(header) + "\n")
         self._fh.flush()
 
-    def write(self, rec: CertificationRecord) -> None:
-        self._fh.write(encode_record(rec) + "\n")
+    def write(self, rec) -> None:
+        self._fh.write(self._encode(rec) + "\n")
         self._fh.flush()
 
     def close(self) -> None:
@@ -145,17 +170,21 @@ class RecordWriter:
 
 
 def read_records(path) -> list[CertificationRecord]:
-    """All records from a JSONL file, skipping the schema header line."""
+    """All records of a certification JSONL file; errors name the file and line."""
     records = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
-            if "schema_version" in obj:
-                if obj["schema_version"] != SCHEMA_VERSION:
+            try:
+                obj = json.loads(line)
+                if "schema_version" not in obj:
+                    records.append(decode_record(line))
+                elif obj["schema_version"] != SCHEMA_VERSION:
                     raise ValueError(f"unsupported schema version {obj['schema_version']}")
-                continue
-            records.append(decode_record(line))
+                elif obj.get("kind", "certification") != "certification":
+                    raise ValueError(f"holds {obj['kind']} records, not certification records")
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from exc
     return records

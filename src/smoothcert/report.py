@@ -15,10 +15,11 @@ had certification used a different number of samples.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
-from .records import CertificationRecord
+from .records import CertificationRecord, certification_fields
 from .smoothing import ClassCounts, decide_certification, project_counts
 
 
@@ -89,15 +90,9 @@ def project_record(rec: CertificationRecord, n_new: int) -> CertificationRecord:
     vec = np.zeros(size, dtype=np.int64)
     for c, v in rec.counts.items():
         vec[c] = v
-    projected = project_counts(ClassCounts(vec), n_new)
-    cert = decide_certification(label, projected[label], n_new, rec.alpha, rec.sigma)
-    return CertificationRecord(
-        example_index=rec.example_index, true_label=rec.true_label,
-        outcome="abstain" if cert.abstained else "certified",
-        predicted_label=label, radius=cert.radius, pa_lower=cert.pa_lower,
-        counts={c: int(v) for c, v in enumerate(projected.counts) if v},
-        sigma=rec.sigma, n0=rec.n0, n=n_new, alpha=rec.alpha, seed=rec.seed,
-        wall_time_ms=rec.wall_time_ms)
+    cert = decide_certification(label, project_counts(ClassCounts(vec), n_new),
+                                rec.alpha, rec.sigma)
+    return replace(rec, n=n_new, **certification_fields(cert))
 
 
 def projected_curve(records: list[CertificationRecord], n_new: int,

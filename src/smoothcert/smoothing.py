@@ -70,24 +70,9 @@ class DifferentiableClassifier(BaseClassifier):
     def classify_batch(self, xs: np.ndarray) -> np.ndarray:
         return np.argmax(self.scores_batch(xs), axis=1).astype(np.int64)
 
+    @abstractmethod
     def loss_input_gradients(self, xs: np.ndarray, label: int) -> np.ndarray:
-        """Softmax cross-entropy input gradients, one row per sample.
-
-        Generic implementation from scores and per-label score gradients;
-        subclasses override with an algebraically identical vectorized form.
-        """
-        xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-        scores = self.scores_batch(xs)
-        shifted = scores - scores.max(axis=1, keepdims=True)
-        probs = np.exp(shifted)
-        probs /= probs.sum(axis=1, keepdims=True)
-        coeffs = probs.copy()
-        coeffs[:, label] -= 1.0
-        out = np.zeros_like(xs)
-        for i in range(xs.shape[0]):
-            for c in range(self.num_labels):
-                out[i] += coeffs[i, c] * self.score_gradient(xs[i], c)
-        return out
+        """Softmax cross-entropy input gradients, one row per sample, (m, d) -> (m, d)."""
 
 
 @dataclass(frozen=True)
@@ -148,11 +133,14 @@ class Prediction:
 
 @dataclass(frozen=True)
 class Certification:
-    """Outcome of certify: label plus certified radius, or abstention."""
+    """Outcome of certify: label plus certified radius, or abstention; either way
+    the selection batch's guess and the estimation counts the decision used."""
 
     label: int | None
     radius: float | None
     pa_lower: float | None
+    guess: int
+    counts: ClassCounts = field(compare=False, repr=False)
 
     @property
     def abstained(self) -> bool:
@@ -160,7 +148,6 @@ class Certification:
 
 
 ABSTAIN_PREDICTION = Prediction(label=None)
-ABSTAIN_CERTIFICATION = Certification(label=None, radius=None, pa_lower=None)
 
 
 def sample_under_noise(f: BaseClassifier, x: np.ndarray, num: int, sigma: float,
@@ -207,14 +194,15 @@ def decide_prediction(counts: ClassCounts, alpha: float) -> Prediction:
     return ABSTAIN_PREDICTION
 
 
-def decide_certification(c_hat: int, count_hat: int, n: int, alpha: float,
+def decide_certification(guess: int, counts: ClassCounts, alpha: float,
                          sigma: float) -> Certification:
-    """Pure decision step of certify from the estimation-batch count."""
-    pa_lower = clopper_pearson_lower(count_hat, n, alpha)
+    """Pure decision step of certify from the estimation-batch counts."""
+    pa_lower = clopper_pearson_lower(counts[guess], counts.total, alpha)
     if pa_lower <= 0.5:
-        return ABSTAIN_CERTIFICATION
-    return Certification(label=c_hat, radius=sigma * std_normal_quantile(pa_lower),
-                         pa_lower=pa_lower)
+        return Certification(label=None, radius=None, pa_lower=None, guess=guess,
+                             counts=counts)
+    return Certification(label=guess, radius=sigma * std_normal_quantile(pa_lower),
+                         pa_lower=pa_lower, guess=guess, counts=counts)
 
 
 def predict(f: BaseClassifier, params: SmoothingParams, x: np.ndarray,
@@ -234,17 +222,7 @@ def predict(f: BaseClassifier, params: SmoothingParams, x: np.ndarray,
 def certify(f: BaseClassifier, params: SmoothingParams, x: np.ndarray,
             noise: NoiseStream, example_id: int, *,
             batch_size: int = DEFAULT_BATCH_SIZE, parallelism: int = 1) -> Certification:
-    """Certify the smoothed prediction at x; see certify_detailed."""
-    cert, _, _ = certify_detailed(f, params, x, noise, example_id,
-                                  batch_size=batch_size, parallelism=parallelism)
-    return cert
-
-
-def certify_detailed(f: BaseClassifier, params: SmoothingParams, x: np.ndarray,
-                     noise: NoiseStream, example_id: int, *,
-                     batch_size: int = DEFAULT_BATCH_SIZE, parallelism: int = 1,
-                     ) -> tuple[Certification, int, ClassCounts]:
-    """Certification plus the guessed label and raw estimation counts.
+    """Certify the smoothed prediction at x; a radius is wrong with probability <= alpha.
 
     The n0 selection draws occupy stream counters [0, n0) and the n estimation
     draws [n0, n0 + n): disjoint segments, so the confidence interval never
@@ -253,12 +231,11 @@ def certify_detailed(f: BaseClassifier, params: SmoothingParams, x: np.ndarray,
     """
     counts0 = sample_under_noise(f, x, params.n0, params.sigma, noise, example_id,
                                  batch_size=batch_size, parallelism=parallelism)
-    c_hat, _ = counts0.top_two()
+    guess, _ = counts0.top_two()
     counts = sample_under_noise(f, x, params.n, params.sigma, noise, example_id,
                                 start=params.n0, batch_size=batch_size,
                                 parallelism=parallelism)
-    cert = decide_certification(c_hat, counts[c_hat], params.n, params.alpha, params.sigma)
-    return cert, c_hat, counts
+    return decide_certification(guess, counts, params.alpha, params.sigma)
 
 
 def project_counts(counts: ClassCounts, n_new: int) -> ClassCounts:

@@ -3,8 +3,9 @@
 Nothing here imports from smoothcert's numerical paths: normal CDF/quantile
 come from mpmath (and scipy.stats.norm where machine precision suffices),
 binomial quantities from exact big-integer rational arithmetic, and the 1-D
-bound maximizations from brute-force dense grids.  Expected values frozen in
-the tests were computed with these functions.
+bound maximizations from brute-force dense grids, and softmax loss input
+gradients from a per-sample loop over score gradients.  Expected values
+frozen in the tests were computed with these functions.
 """
 
 from __future__ import annotations
@@ -76,6 +77,24 @@ def exact_clopper_pearson_lower(k: int, n: int, alpha: float, bits: int = 60) ->
         else:
             hi = mid
     return float(lo)
+
+
+def loss_input_gradients(model, xs: np.ndarray, label: int) -> np.ndarray:
+    """Softmax cross-entropy input gradients, one row per sample, by a loop over
+    samples and labels of model.score_gradient: the per-sample form the
+    models' vectorized loss_input_gradients must equal."""
+    xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
+    scores = model.scores_batch(xs)
+    shifted = scores - scores.max(axis=1, keepdims=True)
+    probs = np.exp(shifted)
+    probs /= probs.sum(axis=1, keepdims=True)
+    coeffs = probs.copy()
+    coeffs[:, label] -= 1.0
+    out = np.zeros_like(xs)
+    for i in range(xs.shape[0]):
+        for c in range(model.num_labels):
+            out[i] += coeffs[i, c] * model.score_gradient(xs[i], c)
+    return out
 
 
 def dp_radius_grid(pa: float, pb: float, sigma: float, points: int = 100_000) -> float:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from smoothcert.attack import AttackParams, AttackResult, pgd_attack, project_to_ball
 from smoothcert.datasets import two_gaussians
 from smoothcert.noise import NoiseStream
@@ -78,6 +79,9 @@ class TestZeroGradient:
 
             def score_gradient(self, x, label):
                 return np.zeros_like(x)
+
+            def loss_input_gradients(self, xs, label):
+                return reference.loss_input_gradients(self, xs, label)
 
         result = pgd_attack(FlatModel(), np.array([1.0, 2.0]), 0,
                             AttackParams(radius=1.0, sigma=0.5, k=20, steps=8, seed=1))

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ def dataset_path(tmp_path):
 
 class TestDatasetCommand:
     def test_generates_csv(self, dataset_path):
-        lines = open(dataset_path).read().strip().split("\n")
+        lines = Path(dataset_path).read_text().strip().split("\n")
         assert lines[0] == "label,x0,x1"
         assert len(lines) == 21
 
@@ -45,7 +46,7 @@ class TestCertifyCommand:
     def test_constant_model_closed_form(self, tmp_path, dataset_path):
         """Ten examples, all-successes interval: every radius is Phi^-1(0.001^0.01)."""
         small = tmp_path / "ten.csv"
-        rows = open(dataset_path).read().strip().split("\n")
+        rows = Path(dataset_path).read_text().strip().split("\n")
         small.write_text("\n".join(rows[:11]) + "\n")
         model_path = tmp_path / "const.model"
         model = ConstantClassifier(0, num_labels=2)
@@ -89,7 +90,7 @@ class TestCertifyCommand:
         main(["certify", "--data", dataset_path, "--model", linear_model_path,
               "--out", str(out), "--sigma", "0.5", "--n0", "20", "--n", "50",
               "--store-counts"])
-        lines = open(out).read().strip().split("\n")
+        lines = Path(out).read_text().strip().split("\n")
         assert json.loads(lines[0]) == {"schema_version": 1}
         for line in lines[1:]:
             assert set(json.loads(line)) <= FROZEN_FIELDS
@@ -168,6 +169,50 @@ class TestInputValidation:
         assert code == 2
         assert "data.csv:3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,args", [
+        ("attack", ["--radius", "0.5", "--k", "0"]),
+        ("attack", ["--radius", "0.5", "--steps", "0"]),
+        ("attack", ["--radius", "0.5", "--step-size", "0"]),
+        ("attack", ["--radius", "0.5", "--sigma", "inf"]),
+        ("attack", ["--radius", "0"]),
+        ("attack", ["--records", "{certs}", "--scale", "0"]),
+        ("attack", ["--records", "{certs}", "--scale", "-1"]),
+        ("attack", ["--records", "{preds}"]),
+        ("report", ["--records", "{certs}", "--radii", "a:b:c"]),
+        ("dataset", ["--kind", "two-gaussians", "--count", "1"]),
+    ])
+    def test_bad_inputs_exit_2_before_writing(self, tmp_path, dataset_path,
+                                              linear_model_path, command, args):
+        files = {"certs": str(tmp_path / "certs.jsonl"), "preds": str(tmp_path / "preds.jsonl")}
+        inputs = ["--data", dataset_path, "--model", linear_model_path, "--sigma", "0.5"]
+        assert main(["certify", *inputs, "--out", files["certs"], "--n0", "20", "--n", "100"]) == 0
+        assert main(["predict", *inputs, "--out", files["preds"], "--n", "100"]) == 0
+        base = {"attack": inputs + ["--k", "10", "--steps", "2"], "report": [], "dataset": []}
+        out = tmp_path / "out"
+        code = main([command, *base[command], *[a.format(**files) for a in args],
+                     "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("header,params", [
+        ("linear 2 2", "1 0\n0\n7 8 9"),  # values past the parameters
+        ("linear 2 2", "nan 0\n0"),       # non-finite weight
+        ("linear 2 2", "1 0"),            # b missing
+        ("constant 2 2", ""),             # label missing
+        ("interval 1 2", "0.5\n0\n1"),    # 1-feature model on 2-feature data
+    ])
+    def test_bad_model_files_exit_2_naming_file(self, tmp_path, dataset_path, capsys,
+                                                header, params):
+        model_path = tmp_path / "bad.model"
+        model_path.write_text(f"smoothcert-model 1 {header}\n{params}\n")
+        out = tmp_path / "r.jsonl"
+        code = main(["certify", "--data", dataset_path, "--model", str(model_path),
+                     "--out", str(out), "--sigma", "0.5", "--n0", "20", "--n", "100"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "bad.model" in err or "dimension" in err
+        assert not out.exists()
+
     def test_unknown_config_keys_exit_2(self, tmp_path, dataset_path, linear_model_path,
                                         capsys):
         config = tmp_path / "config.json"
@@ -186,7 +231,7 @@ class TestPredictCommand:
                      "--out", str(out), "--sigma", "0.5", "--n", "200",
                      "--alpha", "0.01"])
         assert code == 0
-        lines = open(out).read().strip().split("\n")
+        lines = Path(out).read_text().strip().split("\n")
         assert len(lines) == 21
         body = [json.loads(line) for line in lines[1:]]
         assert all(rec["outcome"] in ("predicted", "abstain") for rec in body)
@@ -249,7 +294,7 @@ class TestAttackCommand:
                      "--k", "50", "--steps", "10", "--step-size", "0.5",
                      "--seed", "2"])
         assert code == 0
-        body = [json.loads(line) for line in open(out).read().strip().split("\n")[1:]]
+        body = [json.loads(line) for line in Path(out).read_text().strip().split("\n")[1:]]
         assert len(body) == 20
         # radius 5 dwarfs every margin in this dataset: all attacks succeed
         assert all(rec["success"] for rec in body)
@@ -265,7 +310,7 @@ class TestAttackCommand:
                      "--out", str(out), "--sigma", "0.5", "--records", str(records),
                      "--scale", "0.9", "--k", "50", "--steps", "10", "--seed", "2"])
         assert code == 0
-        body = [json.loads(line) for line in open(out).read().strip().split("\n")[1:]]
+        body = [json.loads(line) for line in Path(out).read_text().strip().split("\n")[1:]]
         # scaled inside sound certificates: no attack may succeed
         assert body and not any(rec["success"] for rec in body)
 
@@ -363,6 +408,6 @@ class TestPredictAbstentionTrend:
             main(["predict", "--data", str(data), "--model", str(model_out),
                   "--out", str(out), "--sigma", "0.5", "--n", str(n),
                   "--alpha", "0.001", "--seed", "4"])
-            body = [json.loads(line) for line in open(out).read().strip().split("\n")[1:]]
+            body = [json.loads(line) for line in Path(out).read_text().strip().split("\n")[1:]]
             abstentions.append(sum(rec["outcome"] == "abstain" for rec in body))
         assert abstentions[0] > abstentions[1] > abstentions[2]

@@ -83,3 +83,15 @@ class TestModelErrors:
     def test_unserializable_type(self, tmp_path):
         with pytest.raises(ValueError, match="cannot serialize"):
             save_model(object(), tmp_path / "x.model")
+
+    @pytest.mark.parametrize("text,message", [
+        ("linear 2 3\n1 0\n0\n", "dims 2 2"),
+        ("interval 1 2\n0.5\n0\n5\n", "label 5"),
+        ("constant 2 2\n0.5\n", "label 0.5"),
+        ("logistic 2 2\n1 0 0 1\ninf 0\n", "non-finite"),
+    ])
+    def test_header_and_parameter_checks(self, tmp_path, text, message):
+        path = tmp_path / "bad.model"
+        path.write_text("smoothcert-model 1 " + text)
+        with pytest.raises(ValueError, match=message):
+            load_model(path)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import reference
-from smoothcert.records import CertificationRecord, decode_record, encode_record
+from smoothcert.records import (CertificationRecord, RecordWriter, decode_record,
+                                encode_record, read_records)
 from smoothcert.report import (accuracy_curve, bernstein_lower_bound,
                                certified_accuracy, project_record, projected_curve,
                                render_json, render_tsv)
@@ -202,3 +203,14 @@ class TestRecordCodec:
                                 seed=0, wall_time_ms=0.0)
         with pytest.raises(ValueError):
             decode_record('{"example_index": 0}')
+
+    @pytest.mark.parametrize("kind", ["prediction", "attack"])
+    def test_reader_rejects_other_kinds_naming_them(self, tmp_path, kind):
+        import json
+        path = tmp_path / f"{kind}.jsonl"
+        with RecordWriter(path, kind=kind) as writer:
+            writer.write({"example_index": 0, "true_label": 1})
+        assert path.read_text() == (json.dumps({"schema_version": 1, "kind": kind})
+                                    + '\n{"example_index": 0, "true_label": 1}\n')
+        with pytest.raises(ValueError, match=f"{kind} records"):
+            read_records(path)

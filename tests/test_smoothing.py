@@ -9,9 +9,8 @@ from smoothcert.bounds import max_certifiable_radius
 from smoothcert.noise import NoiseStream
 from smoothcert.oracles import ConstantClassifier, LinearModel
 from smoothcert.smoothing import (ClassCounts, SmoothingParams, certify,
-                                  certify_detailed, decide_certification,
-                                  decide_prediction, predict, project_counts,
-                                  sample_under_noise)
+                                  decide_certification, decide_prediction, predict,
+                                  project_counts, sample_under_noise)
 
 PHI_06 = 0.7257468822499265  # Phi(0.6), reference oracle
 
@@ -163,22 +162,22 @@ class TestCertify:
         model = LinearModel([1.0, 0.0], 0.0)
         params = SmoothingParams(sigma=1.0, n0=40, n=160, alpha=0.05)
         x = np.array([0.6, 0.0])
-        cert, c_hat, counts = certify_detailed(model, params, x, NoiseStream(13), 3)
+        cert = certify(model, params, x, NoiseStream(13), 3)
         manual0 = sample_under_noise(model, x, 40, 1.0, NoiseStream(13), 3)
         manual = sample_under_noise(model, x, 160, 1.0, NoiseStream(13), 3, start=40)
-        assert c_hat == manual0.top_two()[0]
-        assert np.array_equal(counts.counts, manual.counts)
-        redecided = decide_certification(c_hat, manual[c_hat], 160, 0.05, 1.0)
+        assert cert.guess == manual0.top_two()[0]
+        assert np.array_equal(cert.counts.counts, manual.counts)
+        redecided = decide_certification(cert.guess, manual, 0.05, 1.0)
         assert redecided == cert
 
     def test_bit_identical_reruns(self):
         model = LinearModel([1.0, 2.0], -0.4)
         params = SmoothingParams(sigma=0.8, n0=30, n=300, alpha=0.01)
         x = np.array([0.5, 0.4])
-        first = certify_detailed(model, params, x, NoiseStream(77), 5, parallelism=1)
-        second = certify_detailed(model, params, x, NoiseStream(77), 5, parallelism=4)
-        assert first[0] == second[0]
-        assert np.array_equal(first[2].counts, second[2].counts)
+        first = certify(model, params, x, NoiseStream(77), 5, parallelism=1)
+        second = certify(model, params, x, NoiseStream(77), 5, parallelism=4)
+        assert first == second
+        assert np.array_equal(first.counts.counts, second.counts.counts)
 
 
 class TestProjectCounts:
