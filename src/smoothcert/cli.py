@@ -68,16 +68,26 @@ def _resolve(args, config: dict, key: str, required: bool = False):
     return value
 
 
+def _option(args, config: dict, key: str, kind, required: bool = False):
+    """A resolved option converted by kind (int or float); a wrong type is a usage error."""
+    value = _resolve(args, config, key, required)
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise UsageError(f"{key} must be {'an integer' if kind is int else 'a number'}, "
+                         f"got {value!r}")
+
+
 def _protocol(args, config) -> tuple[SmoothingParams, int, int, int]:
     """Smoothing parameters, seed, parallelism and batch size, checked up front."""
+    sigma = _option(args, config, "sigma", float, required=True)
+    alpha = _option(args, config, "alpha", float)
+    n0, n, seed, parallelism, batch_size = (
+        _option(args, config, key, int)
+        for key in ("n0", "n", "seed", "parallelism", "batch_size"))
     try:
-        params = SmoothingParams(sigma=float(_resolve(args, config, "sigma", required=True)),
-                                 n0=int(_resolve(args, config, "n0")),
-                                 n=int(_resolve(args, config, "n")),
-                                 alpha=float(_resolve(args, config, "alpha")))
-        seed, parallelism, batch_size = (int(_resolve(args, config, key))
-                                         for key in ("seed", "parallelism", "batch_size"))
-    except (TypeError, ValueError) as exc:
+        params = SmoothingParams(sigma=sigma, n0=n0, n=n, alpha=alpha)
+    except ValueError as exc:
         raise UsageError(str(exc))
     if parallelism < 1:
         raise UsageError("--parallelism must be >= 1")
@@ -115,7 +125,8 @@ def _add_sampling_flags(sub, with_n0: bool = True):
     sub.add_argument("--seed", type=int, help="run seed (default 0)")
     sub.add_argument("--parallelism", type=int, help="sampling worker count (default 1)")
     sub.add_argument("--batch-size", dest="batch_size", type=int,
-                     help="base-classifier evaluation batch size (default 1000)")
+                     help="most rows per base-classifier call (default 1000); each "
+                     "worker samples in blocks of at most 2^16 deviates")
 
 
 def _run_certify(args) -> int:
@@ -196,8 +207,7 @@ def _run_bounds(args) -> int:
 
 
 def _run_train(args) -> int:
-    config = _load_config(args.config)
-    seed = int(_resolve(args, config, "seed"))
+    seed = _option(args, _load_config(args.config), "seed", int)
     features, labels = _read_input(read_csv, args.data, "dataset")
     try:
         cfg = TrainConfig(sigma_train=args.sigma_train, epochs=args.epochs,
@@ -218,8 +228,8 @@ def _run_train(args) -> int:
 
 def _run_attack(args) -> int:
     config = _load_config(args.config)
-    sigma = float(_resolve(args, config, "sigma", required=True))
-    seed = int(_resolve(args, config, "seed"))
+    sigma = _option(args, config, "sigma", float, required=True)
+    seed = _option(args, config, "seed", int)
     features, labels, model = _open_inputs(args)
     if args.records is not None:
         if not args.scale > 0.0:

@@ -53,11 +53,15 @@ class NoiseStream:
 
         Deviate (i, j) depends only on (run_seed, example_id, start + i, j).
         """
-        bits = self.uniform_bits(example_id, start, stop, dim)
         # 53-bit mantissa, centered half a step away from 0 and 1, so u lies
-        # in (0, 1) and needs no domain check before the quantile
-        u = ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0 ** -53)
-        return ndtri(u)
+        # in (0, 1) and needs no domain check before the quantile; the
+        # conversion runs inside the one float64 buffer it returns
+        bits = self.uniform_bits(example_id, start, stop, dim)
+        bits >>= np.uint64(11)
+        u = bits.astype(np.float64)
+        u += 0.5
+        u *= 2.0 ** -53
+        return ndtri(u, out=u)
 
     def normal(self, example_id: int, sample_index: int, coordinate: int) -> float:
         """Single deviate; equals the matching entry of any block containing it."""

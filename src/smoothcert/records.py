@@ -115,7 +115,10 @@ def encode_record(rec: CertificationRecord) -> str:
 
 
 def decode_record(line: str) -> CertificationRecord:
-    obj = json.loads(line)
+    return _record_from_object(json.loads(line))
+
+
+def _record_from_object(obj: dict) -> CertificationRecord:
     missing = [f for f in _REQUIRED_FIELDS if f not in obj]
     if missing:
         raise ValueError(f"record missing fields: {', '.join(missing)}")
@@ -180,7 +183,7 @@ def read_records(path) -> list[CertificationRecord]:
             try:
                 obj = json.loads(line)
                 if "schema_version" not in obj:
-                    records.append(decode_record(line))
+                    records.append(_record_from_object(obj))
                 elif obj["schema_version"] != SCHEMA_VERSION:
                     raise ValueError(f"unsupported schema version {obj['schema_version']}")
                 elif obj.get("kind", "certification") != "certification":

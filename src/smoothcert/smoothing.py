@@ -30,6 +30,10 @@ from .noise import NoiseStream
 from .statfun import binom_two_sided_pvalue, clopper_pearson_lower, std_normal_quantile
 
 DEFAULT_BATCH_SIZE = 1000
+# Most deviates one sampling block holds (512 KiB of float64): a block of noise
+# and its scratch copies stay in a core's L2 cache, and memory stays flat in
+# batch size and dimension.
+BLOCK_DEVIATES = 1 << 16
 
 
 class BaseClassifier(ABC):
@@ -157,7 +161,9 @@ def sample_under_noise(f: BaseClassifier, x: np.ndarray, num: int, sigma: float,
 
     Noise for draw i comes from stream counter (example_id, start + i), so the
     result is a pure function of (run_seed, example_id, start, num) no matter
-    how the draws are batched or scheduled across workers.
+    how the draws are batched or scheduled across workers.  batch_size is the
+    most rows per call of f; each block also holds at most BLOCK_DEVIATES
+    deviates.
     """
     if num < 1:
         raise ValueError("num must be >= 1")
@@ -169,11 +175,15 @@ def sample_under_noise(f: BaseClassifier, x: np.ndarray, num: int, sigma: float,
     dim = x.shape[0]
 
     def count_range(lo: int, hi: int) -> np.ndarray:
-        deviates = noise.standard_normals(example_id, lo, hi, dim)
-        labels = f.classify_batch(x[None, :] + sigma * deviates)
+        noisy = noise.standard_normals(example_id, lo, hi, dim)
+        noisy *= sigma  # in place: the same IEEE operations as x + sigma * deviates
+        noisy += x
+        labels = f.classify_batch(noisy)
         return np.bincount(labels, minlength=f.num_labels).astype(np.int64)
 
-    edges = list(range(start, start + num, batch_size)) + [start + num]
+    # a 0-feature x is rejected by the noise stream's own dim check
+    rows = max(1, min(batch_size, BLOCK_DEVIATES // max(dim, 1)))
+    edges = list(range(start, start + num, rows)) + [start + num]
     spans = list(zip(edges[:-1], edges[1:]))
     if parallelism > 1 and len(spans) > 1:
         with ThreadPoolExecutor(max_workers=parallelism) as pool:

@@ -213,6 +213,21 @@ class TestInputValidation:
         assert "bad.model" in err or "dimension" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "attack", "certify"])
+    def test_config_values_of_wrong_type_exit_2(self, tmp_path, dataset_path,
+                                                linear_model_path, capsys, command):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": "x", "sigma": 0.5}))
+        inputs = {"train": ["--data", dataset_path],
+                  "attack": ["--data", dataset_path, "--model", linear_model_path,
+                             "--radius", "0.5"],
+                  "certify": ["--data", dataset_path, "--model", linear_model_path]}
+        out = tmp_path / "out"
+        code = main([command, *inputs[command], "--config", str(config), "--out", str(out)])
+        assert code == 2
+        assert "seed must be an integer, got 'x'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_config_keys_exit_2(self, tmp_path, dataset_path, linear_model_path,
                                         capsys):
         config = tmp_path / "config.json"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from smoothcert.noise import NoiseStream
 
@@ -24,6 +25,13 @@ class TestNoiseStream:
                            stream.standard_normals(3, 37, 80, 4),
                            stream.standard_normals(3, 80, 100, 4)])
         assert np.array_equal(whole, parts)
+
+    def test_matches_reference_expression_at_d784(self):
+        """The in-buffer conversion equals the plain expression bit for bit."""
+        stream = NoiseStream(31)
+        bits = stream.uniform_bits(2, 50, 250, 784)
+        expected = ndtri(((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53)
+        assert np.array_equal(stream.standard_normals(2, 50, 250, 784), expected)
 
     def test_scalar_access_matches_block(self):
         stream = NoiseStream(7)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from smoothcert.bounds import max_certifiable_radius
 from smoothcert.noise import NoiseStream
 from smoothcert.oracles import ConstantClassifier, LinearModel
-from smoothcert.smoothing import (ClassCounts, SmoothingParams, certify,
+from smoothcert.smoothing import (BLOCK_DEVIATES, ClassCounts, SmoothingParams, certify,
                                   decide_certification, decide_prediction, predict,
                                   project_counts, sample_under_noise)
 
@@ -58,16 +59,52 @@ class TestSampleUnderNoise:
         assert abs(counts[1] / counts.total - PHI_06) < 3 * stderr
 
     def test_deterministic_across_batching_and_workers(self):
-        """Identical counts for any batch size and parallelism degree."""
-        model = LinearModel([1.0, -0.5], 0.2)
-        x = np.array([0.3, 0.1])
-        reference_counts = sample_under_noise(model, x, 5000, 0.7, NoiseStream(21),
-                                              example_id=9, batch_size=1000)
-        for batch_size, workers in [(1, 1), (7, 1), (5000, 1), (250, 4), (333, 8)]:
-            counts = sample_under_noise(model, x, 5000, 0.7, NoiseStream(21),
-                                        example_id=9, batch_size=batch_size,
-                                        parallelism=workers)
-            assert np.array_equal(counts.counts, reference_counts.counts)
+        """Identical counts for any batch size and parallelism degree, also at
+        d=784, where BLOCK_DEVIATES cuts every batch above 83 rows short."""
+        rng = np.random.default_rng(5)
+        cases = [(LinearModel([1.0, -0.5], 0.2), np.array([0.3, 0.1]), 5000,
+                  [(1, 1), (7, 1), (5000, 1), (250, 4), (333, 8)]),
+                 (LinearModel(rng.normal(size=784), 0.1), 0.01 * rng.normal(size=784), 1000,
+                  [(b, w) for b in (1, 83, 84, 1000, 5000) for w in (1, 3)])]
+        for model, x, num, settings in cases:
+            reference_counts = sample_under_noise(model, x, num, 0.7, NoiseStream(21),
+                                                  example_id=9, batch_size=1000)
+            assert reference_counts.counts.min() > 0  # both labels occur
+            for batch_size, workers in settings:
+                counts = sample_under_noise(model, x, num, 0.7, NoiseStream(21),
+                                            example_id=9, batch_size=batch_size,
+                                            parallelism=workers)
+                assert np.array_equal(counts.counts, reference_counts.counts)
+
+    def test_rows_per_call_capped_by_batch_size_and_block(self):
+        """batch_size bounds the rows of each classifier call; a block also
+        holds at most BLOCK_DEVIATES deviates."""
+        class RowRecorder(LinearModel):
+            def classify_batch(self, xs):
+                rows.append(len(xs))
+                return super().classify_batch(xs)
+
+        for dim, batch_size, expected in [(2, 1000, 1000), (784, 5000, 83), (784, 50, 50),
+                                          (BLOCK_DEVIATES + 1, 10, 1)]:
+            rows = []
+            sample_under_noise(RowRecorder(np.ones(dim), 0.0), np.zeros(dim), 2 * expected,
+                               1.0, NoiseStream(0), example_id=0, batch_size=batch_size)
+            assert rows == [expected, expected]
+
+    def test_memory_flat_in_batch_size(self):
+        """Two workers at d=784 and batch_size 5000 stay under 8 MB: each
+        holds a block of at most BLOCK_DEVIATES deviates, not batch_size rows."""
+        rng = np.random.default_rng(3)
+        model = LinearModel(rng.normal(size=784), 0.0)
+        x = rng.normal(size=784)
+        tracemalloc.start()
+        try:
+            sample_under_noise(model, x, 10_000, 0.5, NoiseStream(0), example_id=0,
+                               batch_size=5000, parallelism=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
