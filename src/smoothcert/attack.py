@@ -81,8 +81,7 @@ def pgd_attack(model: DifferentiableClassifier, x, label: int,
     delta = np.zeros(dim)
     zero_steps = 0
     for step in range(params.steps):
-        eps = params.sigma * grad_noise.standard_normals(0, step * params.k,
-                                                         (step + 1) * params.k, dim)
+        eps = params.sigma * grad_noise.standard_normals(step, 0, params.k, dim)
         grads = model.loss_input_gradients(x[None, :] + delta[None, :] + eps, label)
         g = grads.mean(axis=0)
         norm = float(np.linalg.norm(g))

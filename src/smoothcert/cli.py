@@ -69,13 +69,21 @@ def _resolve(args, config: dict, key: str, required: bool = False):
 
 
 def _option(args, config: dict, key: str, kind, required: bool = False):
-    """A resolved option converted by kind (int or float); a wrong type is a usage error."""
+    """A resolved option converted by kind (int or float); a wrong type is a usage error.
+
+    Booleans are never numbers here, and an integer option takes a float only
+    when it is integral: int() would turn true into 1 and 20.7 into 20.
+    """
     value = _resolve(args, config, key, required)
+    wrong = UsageError(f"{key} must be {'an integer' if kind is int else 'a number'}, "
+                       f"got {value!r}")
+    if isinstance(value, bool) or (kind is int and isinstance(value, float)
+                                   and not value.is_integer()):
+        raise wrong
     try:
         return kind(value)
     except (TypeError, ValueError):
-        raise UsageError(f"{key} must be {'an integer' if kind is int else 'a number'}, "
-                         f"got {value!r}")
+        raise wrong
 
 
 def _protocol(args, config) -> tuple[SmoothingParams, int, int, int]:

@@ -26,14 +26,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .noise import NoiseStream
+from .noise import NoiseStream, block_rows
 from .statfun import binom_two_sided_pvalue, clopper_pearson_lower, std_normal_quantile
 
 DEFAULT_BATCH_SIZE = 1000
-# Most deviates one sampling block holds (512 KiB of float64): a block of noise
-# and its scratch copies stay in a core's L2 cache, and memory stays flat in
-# batch size and dimension.
-BLOCK_DEVIATES = 1 << 16
 
 
 class BaseClassifier(ABC):
@@ -161,9 +157,10 @@ def sample_under_noise(f: BaseClassifier, x: np.ndarray, num: int, sigma: float,
 
     Noise for draw i comes from stream counter (example_id, start + i), so the
     result is a pure function of (run_seed, example_id, start, num) no matter
-    how the draws are batched or scheduled across workers.  batch_size is the
-    most rows per call of f; each block also holds at most BLOCK_DEVIATES
-    deviates.
+    how the draws are batched or scheduled across workers.  Each worker takes
+    one of the stream's blocks at a time (spans start at start, then at every
+    block edge), so no deviate is generated twice; batch_size is the most rows
+    per call of f within a span.
     """
     if num < 1:
         raise ValueError("num must be >= 1")
@@ -178,12 +175,16 @@ def sample_under_noise(f: BaseClassifier, x: np.ndarray, num: int, sigma: float,
         noisy = noise.standard_normals(example_id, lo, hi, dim)
         noisy *= sigma  # in place: the same IEEE operations as x + sigma * deviates
         noisy += x
-        labels = f.classify_batch(noisy)
-        return np.bincount(labels, minlength=f.num_labels).astype(np.int64)
+        counts = np.zeros(f.num_labels, dtype=np.int64)
+        for i in range(0, hi - lo, batch_size):
+            counts += np.bincount(f.classify_batch(noisy[i:i + batch_size]),
+                                  minlength=f.num_labels)
+        return counts
 
     # a 0-feature x is rejected by the noise stream's own dim check
-    rows = max(1, min(batch_size, BLOCK_DEVIATES // max(dim, 1)))
-    edges = list(range(start, start + num, rows)) + [start + num]
+    rows = block_rows(max(dim, 1))
+    stop = start + num
+    edges = [start, *range((start // rows + 1) * rows, stop, rows), stop]
     spans = list(zip(edges[:-1], edges[1:]))
     if parallelism > 1 and len(spans) > 1:
         with ThreadPoolExecutor(max_workers=parallelism) as pool:

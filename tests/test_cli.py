@@ -228,6 +228,36 @@ class TestInputValidation:
         assert "seed must be an integer, got 'x'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("values, message", [
+        ({"n0": 20.7}, "n0 must be an integer, got 20.7"),
+        ({"n": 100.9}, "n must be an integer, got 100.9"),
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"sigma": True}, "sigma must be a number, got True"),
+        ({"alpha": False}, "alpha must be a number, got False")],
+        ids=["n0-fraction", "n-fraction", "seed-bool", "sigma-bool", "alpha-bool"])
+    def test_non_integral_and_boolean_config_values_exit_2(self, tmp_path, dataset_path,
+                                                           linear_model_path, capsys,
+                                                           values, message):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"sigma": 0.5, "n0": 20, "n": 100, **values}))
+        out = tmp_path / "r.jsonl"
+        code = main(["certify", "--data", dataset_path, "--model", linear_model_path,
+                     "--config", str(config), "--out", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integral_float_config_values_accepted(self, tmp_path, dataset_path,
+                                                   linear_model_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"sigma": 0.5, "n0": 20.0, "n": 100.0, "seed": 3.0}))
+        out = tmp_path / "r.jsonl"
+        assert main(["certify", "--data", dataset_path, "--model", linear_model_path,
+                     "--config", str(config), "--out", str(out)]) == 0
+        first = json.loads(out.read_text().splitlines()[1])
+        assert (first["n0"], first["n"], first["seed"]) == (20, 100, 3)
+        assert isinstance(first["n0"], int)
+
     def test_unknown_config_keys_exit_2(self, tmp_path, dataset_path, linear_model_path,
                                         capsys):
         config = tmp_path / "config.json"

@@ -1,8 +1,20 @@
 import numpy as np
 import pytest
-from scipy.special import ndtri
+from scipy.special import ndtr
+from scipy.stats import kstest
 
-from smoothcert.noise import NoiseStream
+from smoothcert.noise import NoiseStream, block_rows
+
+
+def reference_rows(run_seed, example_id, start, stop, dim):
+    """Rows [start, stop) cut from whole blocks made by plain numpy calls."""
+    rows = block_rows(dim)
+    blocks = [np.random.Generator(np.random.SFC64(np.random.SeedSequence(
+                  np.array([run_seed, example_id, b], dtype=np.uint64).view(np.uint32))))
+              .standard_normal((rows, dim))
+              for b in range(start // rows, (stop - 1) // rows + 1)]
+    offset = start // rows * rows
+    return np.vstack(blocks)[start - offset:stop - offset]
 
 
 class TestNoiseStream:
@@ -27,17 +39,52 @@ class TestNoiseStream:
         assert np.array_equal(whole, parts)
 
     def test_matches_reference_expression_at_d784(self):
-        """The in-buffer conversion equals the plain expression bit for bit."""
+        """Prefix-filled blocks equal whole blocks from the plain expression,
+        bit for bit, also from a start inside a block and across block edges."""
         stream = NoiseStream(31)
-        bits = stream.uniform_bits(2, 50, 250, 784)
-        expected = ndtri(((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53)
-        assert np.array_equal(stream.standard_normals(2, 50, 250, 784), expected)
+        assert block_rows(784) == 83
+        assert np.array_equal(stream.standard_normals(2, 50, 250, 784),
+                              reference_rows(31, 2, 50, 250, 784))
 
-    def test_scalar_access_matches_block(self):
-        stream = NoiseStream(7)
-        block = stream.standard_normals(11, 0, 8, 5)
-        assert stream.normal(11, 3, 2) == block[3, 2]
-        assert stream.normal(11, 0, 4) == block[0, 4]
+    def test_slices_match_any_larger_request(self):
+        """A slice equals the same rows of any larger request at fixed d,
+        including single rows, starts inside a block and spans that cross
+        block edges."""
+        for dim, stop in [(2, 3 * block_rows(2) + 10), (784, 400)]:
+            rows = block_rows(dim)
+            stream = NoiseStream(5)
+            whole = stream.standard_normals(8, 0, stop, dim)
+            for start, end in [(0, 1), (rows - 1, rows), (1, rows), (rows // 2, rows + 3),
+                               (rows - 1, 2 * rows + 1), (rows, 3 * rows), (100, stop)]:
+                assert np.array_equal(stream.standard_normals(8, start, end, dim),
+                                      whole[start:end])
+
+    def test_keys_do_not_alias(self):
+        """Fixed-width keys: with variable-width int keys, (seed 2**32, example 5,
+        block 0) and (seed 0, example 1, block 5) would seed the same generator."""
+        rows = block_rows(784)
+        a = NoiseStream(2**32).standard_normals(5, 0, rows, 784)
+        b = NoiseStream(0).standard_normals(1, 5 * rows, 6 * rows, 784)
+        assert not np.array_equal(a, b)
+
+    def test_kolmogorov_smirnov_against_ndtr(self):
+        """10^6 deviates spread over 16 blocks pass a KS test against Phi."""
+        z = NoiseStream(77).standard_normals(3, 0, 1276, 784).ravel()
+        assert z.size > 1_000_000
+        assert kstest(z, ndtr).pvalue > 1e-3
+
+    def test_neighbouring_blocks_and_examples_uncorrelated(self):
+        """Correlation within 5 standard errors between adjacent blocks of one
+        example and between the same block of adjacent examples."""
+        rows = block_rows(784)
+        stream = NoiseStream(13)
+        blocks = [stream.standard_normals(4, b * rows, (b + 1) * rows, 784).ravel()
+                  for b in range(6)]
+        others = [stream.standard_normals(e, 0, rows, 784).ravel() for e in range(6)]
+        bound = 5.0 / np.sqrt(blocks[0].size)
+        for seq in (blocks, others):
+            for u, v in zip(seq[:-1], seq[1:]):
+                assert abs(np.corrcoef(u, v)[0, 1]) < bound
 
     def test_deviates_look_standard_normal(self):
         """Loose moment checks on 2e5 deviates (fixed seed)."""
