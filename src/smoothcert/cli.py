@@ -280,7 +280,10 @@ def _run_attack(args) -> int:
 def _parse_radii(text: str) -> list[float]:
     try:
         if ":" not in text:
-            return [float(p) for p in text.split(",") if p.strip()]
+            radii = [float(p) for p in text.split(",") if p.strip()]
+            if any(math.isnan(r) for r in radii):
+                raise UsageError(f"radii must not be NaN, got {text}")
+            return radii
         start, stop, step = (float(p) for p in text.split(":"))
     except ValueError:
         raise UsageError(f"radii must be a comma list or start:stop:step, got {text}")

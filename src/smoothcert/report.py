@@ -15,6 +15,7 @@ had certification used a different number of samples.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import replace
 
 import numpy as np
@@ -64,17 +65,27 @@ def accuracy_curve(records: list[CertificationRecord], radii: list[float],
                    rho: float = 0.001) -> list[tuple[float, float, float]]:
     """Rows (radius, approximate accuracy, Bernstein lower bound).
 
-    Radii must be sorted ascending; both columns are nonincreasing in r and
-    the Bernstein column never exceeds the approximate one.
+    Radii must be sorted ascending and not NaN; both columns are nonincreasing
+    in r and the Bernstein column never exceeds the approximate one.  The
+    radii of the certified-correct records are sorted once, so each row is a
+    binary search: O((m + R) log m) for m records and R radii.
     """
     if any(b < a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be sorted ascending")
+    if any(math.isnan(r) for r in radii):
+        raise ValueError("radii must not be NaN")
     alpha = _uniform_alpha(records)
     m = len(records)
+    # radius_at_least(-inf) drops NaN radii, which no radius_at_least(r) counts
+    hit_radii = sorted(rec.radius for rec in records
+                       if rec.correct and rec.radius_at_least(-math.inf))
+    lower_by_hits: dict[int, float] = {}
     rows = []
     for r in radii:
-        hits = sum(1 for rec in records if rec.correct and rec.radius_at_least(r))
-        rows.append((float(r), hits / m, bernstein_lower_bound(hits, m, alpha, rho)))
+        hits = len(hit_radii) - bisect_left(hit_radii, r)
+        if hits not in lower_by_hits:
+            lower_by_hits[hits] = bernstein_lower_bound(hits, m, alpha, rho)
+        rows.append((float(r), hits / m, lower_by_hits[hits]))
     return rows
 
 
@@ -110,9 +121,24 @@ def render_tsv(rows: list[tuple[float, float, float]]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_float(x: float) -> str:
+    """x as json.dumps writes a float, Infinity and NaN included."""
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+_JSON_ROW = ('  {{\n    "radius": {},\n    "certified_accuracy": {},\n'
+             '    "bernstein_lower_bound": {}\n  }}')
+
+
 def render_json(rows: list[tuple[float, float, float]]) -> str:
-    """Machine-readable variant mirroring the TSV columns."""
-    import json
-    return json.dumps([{"radius": r, "certified_accuracy": acc,
-                        "bernstein_lower_bound": lower} for r, acc, lower in rows],
-                      indent=2) + "\n"
+    """Machine-readable variant mirroring the TSV columns.
+
+    The bytes are those of ``json.dumps(objects, indent=2)`` and a newline,
+    written directly: with an indent, json falls back to its pure-Python
+    encoder.
+    """
+    if not rows:
+        return "[]\n"
+    return "[\n" + ",\n".join(_JSON_ROW.format(*map(_json_float, row)) for row in rows) + "\n]\n"

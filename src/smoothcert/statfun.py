@@ -7,8 +7,10 @@ reduces to these functions:
 * the Clopper-Pearson lower bound is the beta quantile ``betaincinv``, rounded
   down until the binomial upper tail at the result is at most alpha, so
   floating-point error never puts the bound on the unsafe side;
-* binomial CDFs for the abstention test are summed in log space so they stay
-  finite out to n = 1e7.
+* the two-sided p-value of the abstention test is the binomial CDF as a
+  regularized incomplete beta function, ``betainc``, rounded up;
+* ``log_binomial_cdf`` sums binomial CDFs in log space so they stay finite out
+  to n = 1e7.
 
 The normal CDF and quantile accept floats or numpy arrays and broadcast
 elementwise.
@@ -29,6 +31,13 @@ _CHUNK = 1 << 20
 # stopping test does not rely on the last digits of betainc (measured relative
 # error up to 3.4e-14 against 40-digit sums for n up to 2e6).
 _TAIL_MARGIN = 1e-12
+
+# Relative margin by which the two-sided p-value is raised.  At x = 1/2,
+# betainc erred by up to 6e-12 relative against 40-digit sums, on either side,
+# for n up to 2e6 at p-values down to 1e-307 and for n up to 2e7 at p-values
+# above 1e-27.  Only deeper tails at larger n erred more (3.5e-11 seen at n
+# near 2e7).
+_PVALUE_MARGIN = 1.5e-11
 
 
 def std_normal_cdf(z):
@@ -81,20 +90,23 @@ def log_binomial_cdf(k: int, n: int, p: float) -> float:
 
 
 def binom_two_sided_pvalue(k: int, n: int, p0: float = 0.5) -> float:
-    """Exact two-sided p-value for k successes out of n under p0 = 1/2.
+    """Two-sided p-value for k successes out of n under p0 = 1/2, rounded up.
 
     By symmetry of Binomial(n, 1/2) this is P(|X - n/2| >= |k - n/2|) =
-    2 P(X <= min(k, n-k)), clamped to 1.  Only the symmetric null is
-    supported; two-sided conventions diverge for p0 != 1/2.
+    2 P(X <= lo) with lo = min(k, n-k), clamped to 1.  P(X <= lo) is the
+    regularized incomplete beta ``betainc(n - lo, lo + 1, 1/2)``, raised by a
+    relative margin of 1.5e-11 so the result is never below the exact p-value:
+    too low a p-value could turn an abstention into a label.  (betainc
+    underflows to 0 a little early, below about 1e-270, far below any alpha.)
+    Only the symmetric null is supported; two-sided conventions diverge for
+    p0 != 1/2.
     """
     if not 0 <= k <= n or n < 1:
         raise ValueError("need 0 <= k <= n and n >= 1")
     if p0 != 0.5:
         raise ValueError("only the symmetric null p0 = 1/2 is supported")
     lower = min(k, n - k)
-    if 2 * lower == n:
-        return 1.0
-    return min(1.0, 2.0 * math.exp(log_binomial_cdf(lower, n, 0.5)))
+    return min(1.0, 2.0 * float(betainc(n - lower, lower + 1, 0.5)) * (1.0 + _PVALUE_MARGIN))
 
 
 def clopper_pearson_lower(k: int, n: int, alpha: float) -> float:

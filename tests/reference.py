@@ -63,6 +63,23 @@ def exact_two_sided_pvalue(k: int, n: int) -> Fraction:
     return min(Fraction(1), 2 * exact_binom_cdf(lower, n, Fraction(1, 2)))
 
 
+def binom_two_sided_pvalue_mp(k: int, n: int) -> mp.mpf:
+    """exact_two_sided_pvalue to 40 digits for large n: P(X <= lo) summed in
+    mpmath from j = lo down, each term the last times j / (n - j + 1), until
+    a term no longer moves the 40th digit."""
+    lower = min(k, n - k)
+    if 2 * lower == n:
+        return mp.mpf(1)
+    term = mp.binomial(n, lower) / mp.mpf(2) ** n
+    total = mp.mpf(0)
+    for j in range(lower, -1, -1):
+        total += term
+        if term < total * mp.mpf(10) ** -45:
+            break
+        term *= mp.mpf(j) / (n - j + 1)
+    return min(mp.mpf(1), 2 * total)
+
+
 def exact_clopper_pearson_lower(k: int, n: int, alpha: float, bits: int = 60) -> float:
     """Largest p with P(Binomial(n, p) >= k) <= alpha, via exact-tail bisection."""
     if k == 0:

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,8 @@ from smoothcert.cli import main
 from smoothcert.modelio import save_model
 from smoothcert.oracles import ConstantClassifier, LinearModel
 from smoothcert.records import read_records
+
+DATA = Path(__file__).parent / "data"
 
 FROZEN_FIELDS = {"example_index", "true_label", "outcome", "predicted_label",
                  "radius", "pa_lower", "counts", "sigma", "n0", "n", "alpha",
@@ -402,6 +405,37 @@ class TestReportCommand:
 
     def test_missing_records_exits_2(self, tmp_path):
         assert main(["report", "--records", str(tmp_path / "none.jsonl")]) == 2
+
+    @pytest.mark.parametrize("expected,options", [
+        ("report_expected.tsv", []),
+        ("report_expected.json", ["--format", "json"]),
+        ("report_expected_project.tsv", ["--project-n", "100000"]),
+        ("report_expected_project.json", ["--project-n", "100000", "--format", "json"]),
+    ])
+    def test_golden_output_bytes(self, tmp_path, expected, options):
+        """Byte for byte what smoothcert 0.1.0 at commit 0aa2270 wrote for the
+        committed fixture: abstains, a wrong label, a radius equal to a
+        requested radius, and an infinite radius, requested too."""
+        out = tmp_path / "out"
+        assert main(["report", "--records", str(DATA / "report_records.jsonl"),
+                     "--radii", "0,0.1,0.25,0.5,0.75,1,1.5,inf", *options,
+                     "--out", str(out)]) == 0
+        assert out.read_bytes() == (DATA / expected).read_bytes()
+
+    def test_nan_radius_exits_2_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["report", "--records", str(DATA / "report_records.jsonl"),
+                     "--radii", "0,nan,1", "--format", "json", "--out", str(out)])
+        assert code == 2
+        assert "NaN" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_infinite_radius_accepted(self, capsys):
+        code = main(["report", "--records", str(DATA / "report_records.jsonl"),
+                     "--radii", "0,1,inf", "--format", "json"])
+        assert code == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert [row["radius"] for row in rows] == [0.0, 1.0, math.inf]
 
 
 class TestCertifyOracleSoundness:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -106,6 +107,35 @@ class TestAccuracyCurve:
         with pytest.raises(ValueError):
             accuracy_curve([record(0, alpha=0.001), record(1, alpha=0.01)], [0.0])
 
+    def test_nan_radius_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            accuracy_curve([record(0)], [0.0, math.nan])
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_brute_force(self, seed):
+        """Every row equals certified_accuracy and bernstein_lower_bound at its
+        radius, on records with abstains, wrong labels and infinite radii, at
+        radii that are negative, repeated, infinite or equal to a record's."""
+        rng = np.random.default_rng(seed)
+        pool = [0.0, 0.25, 0.5, math.inf]
+        records = []
+        for i in range(int(rng.integers(1, 60))):
+            radius = (pool[rng.integers(len(pool))] if rng.random() < 0.4
+                      else float(rng.uniform(0.0, 2.0)))
+            records.append(record(i, outcome="abstain" if rng.random() < 0.2 else "certified",
+                                  true_label=int(rng.integers(2)), radius=radius))
+        radii = sorted([float(rng.uniform(-1.0, 3.0)) for _ in range(10)]
+                       + pool + [-0.5, 0.25, -math.inf]
+                       + [rec.radius for rec in records[:5] if rec.radius is not None])
+        rows = accuracy_curve(records, radii, rho=0.01)
+        expected = []
+        for r in radii:
+            acc = certified_accuracy(records, r)
+            hits = sum(rec.correct and rec.radius_at_least(r) for rec in records)
+            expected.append((r, acc, bernstein_lower_bound(hits, len(records), 0.001, 0.01)))
+        assert rows == expected
+        assert all(type(v) is float for row in rows for v in row)
+
     def test_abstention_accounting(self):
         """accuracy(0) + abstain fraction + wrong fraction = 1 exactly."""
         records = [record(0, radius=0.7), record(1, outcome="abstain"),
@@ -167,10 +197,25 @@ class TestRendering:
         assert lines[1].split("\t") == ["0.000000", "1.000000", "0.900000"]
 
     def test_json_mirrors_columns(self):
-        import json
         rows = json.loads(render_json([(0.0, 1.0, 0.9)]))
         assert rows == [{"radius": 0.0, "certified_accuracy": 1.0,
                          "bernstein_lower_bound": 0.9}]
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_json_bytes_equal_json_dumps(self, seed):
+        """render_json writes exactly what json.dumps(..., indent=2) would,
+        Infinity, -Infinity, NaN and signed zero included."""
+        rng = np.random.default_rng(seed)
+        pool = [0.0, -0.0, 5e-324, 1e300, math.inf, -math.inf, math.nan]
+        rows = [tuple(pool[rng.integers(len(pool))] if rng.random() < 0.5
+                      else float(rng.uniform(-10.0, 10.0)) for _ in range(3))
+                for _ in range(int(rng.integers(0, 12)))]
+        objects = [{"radius": r, "certified_accuracy": acc, "bernstein_lower_bound": lower}
+                   for r, acc, lower in rows]
+        assert render_json(rows) == json.dumps(objects, indent=2) + "\n"
+
+    def test_json_empty(self):
+        assert render_json([]) == json.dumps([], indent=2) + "\n"
 
 
 class TestRecordCodec:

@@ -160,6 +160,24 @@ class TestTwoSidedPvalue:
         with pytest.raises(ValueError):
             binom_two_sided_pvalue(5, 10, 0.4)
 
+    def test_never_below_exact_small_n(self):
+        """Safe side: at least the exact rational p-value for every k, n <= 60
+        (without the margin, betainc is below it in 198 of these cases)."""
+        for n in range(1, 61):
+            for k in range(n + 1):
+                assert Fraction(binom_two_sided_pvalue(k, n, 0.5)) >= \
+                    reference.exact_two_sided_pvalue(k, n), (k, n)
+
+    @pytest.mark.parametrize("k,n", [(49227, 100005), (49550, 99991), (50395, 100003),
+                                     (502427, 999991), (497851, 1000007),
+                                     (496917, 1000008), (503979, 1000002)])
+    def test_never_below_mpmath_large_n(self, k, n):
+        """Safe side at large n against 40-digit mpmath sums, at (k, n) where
+        betainc alone is below them, and less than 1e-10 relative above."""
+        p = binom_two_sided_pvalue(k, n, 0.5)
+        exact = reference.binom_two_sided_pvalue_mp(k, n)
+        assert exact <= p <= exact * (1 + 1e-10)
+
     @pytest.mark.parametrize("alpha", [0.01, 0.05])
     def test_validity_by_enumeration(self, alpha):
         """P(pvalue <= alpha) <= alpha under the null, exactly at n = 100."""
