@@ -64,8 +64,11 @@ class CertificationRecord:
         if self.outcome == "certified":
             if self.predicted_label is None or self.radius is None or self.pa_lower is None:
                 raise ValueError("certified records need label, radius, and pa_lower")
-            if self.radius < 0.0:
-                raise ValueError("radius must be >= 0")
+            # NaN fails both comparisons
+            if not self.radius >= 0.0:
+                raise ValueError(f"radius must be >= 0, got {self.radius}")
+            if not 0.0 <= self.pa_lower <= 1.0:
+                raise ValueError(f"pa_lower must be in [0, 1], got {self.pa_lower}")
         elif self.radius is not None or self.pa_lower is not None:
             raise ValueError("abstaining records carry no radius or pa_lower")
 

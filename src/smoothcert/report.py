@@ -76,9 +76,7 @@ def accuracy_curve(records: list[CertificationRecord], radii: list[float],
         raise ValueError("radii must not be NaN")
     alpha = _uniform_alpha(records)
     m = len(records)
-    # radius_at_least(-inf) drops NaN radii, which no radius_at_least(r) counts
-    hit_radii = sorted(rec.radius for rec in records
-                       if rec.correct and rec.radius_at_least(-math.inf))
+    hit_radii = sorted(rec.radius for rec in records if rec.correct)
     lower_by_hits: dict[int, float] = {}
     rows = []
     for r in radii:

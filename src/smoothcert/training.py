@@ -50,12 +50,13 @@ class TrainConfig:
     hidden_width: int = 32
 
     def __post_init__(self):
-        if self.sigma_train < 0.0:
-            raise ValueError("sigma_train must be >= 0")
+        # written so that NaN fails every check
+        if not 0.0 <= self.sigma_train < math.inf:
+            raise ValueError("sigma_train must be finite and >= 0")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
-        if not self.learning_rate > 0.0:
-            raise ValueError("learning_rate must be positive")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and positive")
         if self.model_kind not in ("logistic", "mlp"):
             raise ValueError("model_kind must be 'logistic' or 'mlp'")
         if self.model_kind == "mlp" and self.hidden_width < 1:
@@ -63,15 +64,26 @@ class TrainConfig:
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    probs = np.exp(shifted)
-    probs /= probs.sum(axis=1, keepdims=True)
-    return probs
+    """Row-wise softmax, computed in place over scores and returned."""
+    scores -= scores.max(axis=1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=1, keepdims=True)
+    return scores
 
 
-def _cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
-    picked = probs[np.arange(len(labels)), labels]
-    return float(-np.mean(np.log(np.maximum(picked, 1e-300))))
+def _loss_and_coeffs(scores: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean softmax cross-entropy of a batch and its gradient in the scores.
+
+    Works in place: scores becomes the gradient, softmax minus one-hot over
+    the batch size, once the loss has been read off the softmax.
+    """
+    probs = _softmax(scores)
+    rows = np.arange(len(labels))
+    # the sum over the count, as np.mean computes it, without its overhead
+    loss = float(-np.log(np.maximum(probs[rows, labels], 1e-300)).sum() / len(labels))
+    probs[rows, labels] -= 1.0
+    probs /= len(labels)
+    return loss, probs
 
 
 class SoftmaxLinearModel(DifferentiableClassifier):
@@ -93,12 +105,12 @@ class SoftmaxLinearModel(DifferentiableClassifier):
         coeffs[:, label] -= 1.0
         return coeffs @ self.weights
 
-    def _param_step(self, xs, labels, lr):
-        coeffs = _softmax(self.scores_batch(xs))
-        coeffs[np.arange(len(labels)), labels] -= 1.0
-        coeffs /= len(labels)
+    def _step(self, xs, labels, lr) -> float:
+        """One gradient-descent step on the batch; returns its loss before the step."""
+        loss, coeffs = _loss_and_coeffs(self.scores_batch(xs), labels)
         self.weights -= lr * coeffs.T @ xs
         self.biases -= lr * coeffs.sum(axis=0)
+        return loss
 
 
 class MlpModel(DifferentiableClassifier):
@@ -113,7 +125,9 @@ class MlpModel(DifferentiableClassifier):
         self.dim = self.w1.shape[1]
 
     def _hidden(self, xs: np.ndarray) -> np.ndarray:
-        return np.tanh(np.atleast_2d(xs) @ self.w1.T + self.b1)
+        h = np.atleast_2d(xs) @ self.w1.T
+        h += self.b1
+        return np.tanh(h, out=h)
 
     def scores_batch(self, xs: np.ndarray) -> np.ndarray:
         return self._hidden(xs) @ self.w2.T + self.b2
@@ -129,16 +143,21 @@ class MlpModel(DifferentiableClassifier):
         coeffs[:, label] -= 1.0
         return ((coeffs @ self.w2) * (1.0 - h * h)) @ self.w1
 
-    def _param_step(self, xs, labels, lr):
+    def _step(self, xs, labels, lr) -> float:
+        """One gradient-descent step on the batch; returns its loss before the step."""
         h = self._hidden(xs)
-        coeffs = _softmax(h @ self.w2.T + self.b2)
-        coeffs[np.arange(len(labels)), labels] -= 1.0
-        coeffs /= len(labels)
-        grad_h = (coeffs @ self.w2) * (1.0 - h * h)
+        scores = h @ self.w2.T
+        scores += self.b2
+        loss, coeffs = _loss_and_coeffs(scores, labels)
+        slope = h * h
+        np.subtract(1.0, slope, out=slope)
+        grad_h = coeffs @ self.w2
+        grad_h *= slope
         self.w2 -= lr * coeffs.T @ h
         self.b2 -= lr * coeffs.sum(axis=0)
         self.w1 -= lr * grad_h.T @ xs
         self.b1 -= lr * grad_h.sum(axis=0)
+        return loss
 
 
 def _init_model(cfg: TrainConfig, dim: int, num_labels: int, stream: NoiseStream):
@@ -193,13 +212,12 @@ def train_with_noise(examples, cfg: TrainConfig):
             if cfg.sigma_train > 0.0:
                 noisy = xs + cfg.sigma_train * augment.standard_normals(epoch, 0, n, dim)
             order = shuffler.permutation(n)
+            noisy, shuffled_labels = noisy[order], labels[order]
             epoch_loss = 0.0
             for lo in range(0, n, cfg.batch_size):
-                idx = order[lo:lo + cfg.batch_size]
-                batch, batch_labels = noisy[idx], labels[idx]
-                probs = _softmax(model.scores_batch(batch))
-                epoch_loss += _cross_entropy(probs, batch_labels) * len(idx)
-                model._param_step(batch, batch_labels, cfg.learning_rate)
+                hi = min(lo + cfg.batch_size, n)
+                epoch_loss += model._step(noisy[lo:hi], shuffled_labels[lo:hi],
+                                          cfg.learning_rate) * (hi - lo)
             epoch_loss /= n
             if not math.isfinite(epoch_loss):
                 raise TrainingDiverged(f"non-finite loss {epoch_loss} at epoch {epoch}")

@@ -5,7 +5,9 @@ come from mpmath (and scipy.stats.norm where machine precision suffices),
 binomial quantities from exact big-integer rational arithmetic, and the 1-D
 bound maximizations from brute-force dense grids, and softmax loss input
 gradients from a per-sample loop over score gradients.  Expected values
-frozen in the tests were computed with these functions.
+frozen in the tests were computed with these functions.  The one exception
+is reference_train: it takes the initial weights and the augmentation noise
+from smoothcert, and checks only the descent arithmetic that follows.
 """
 
 from __future__ import annotations
@@ -96,16 +98,19 @@ def exact_clopper_pearson_lower(k: int, n: int, alpha: float, bits: int = 60) ->
     return float(lo)
 
 
+def _softmax_copy(scores: np.ndarray) -> np.ndarray:
+    shifted = scores - scores.max(axis=1, keepdims=True)
+    probs = np.exp(shifted)
+    probs /= probs.sum(axis=1, keepdims=True)
+    return probs
+
+
 def loss_input_gradients(model, xs: np.ndarray, label: int) -> np.ndarray:
     """Softmax cross-entropy input gradients, one row per sample, by a loop over
     samples and labels of model.score_gradient: the per-sample form the
     models' vectorized loss_input_gradients must equal."""
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-    scores = model.scores_batch(xs)
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    probs = np.exp(shifted)
-    probs /= probs.sum(axis=1, keepdims=True)
-    coeffs = probs.copy()
+    coeffs = _softmax_copy(model.scores_batch(xs))
     coeffs[:, label] -= 1.0
     out = np.zeros_like(xs)
     for i in range(xs.shape[0]):
@@ -157,3 +162,66 @@ def bernstein_ref(y: int, m: int, alpha: float, rho: float) -> float:
     value = (y_ / m_ - a - mp.sqrt(2 * a * (1 - a) * log_term / m_)
              - log_term / (3 * m_)) / (1 - a)
     return float(max(mp.mpf(0), value))
+
+
+def reference_train(examples, cfg) -> tuple[list[np.ndarray], list[float]]:
+    """(parameters, loss_history) of train_with_noise, by a two-pass loop.
+
+    Every mini-batch runs the forward pass twice, as smoothcert did before
+    its single-pass step: once for the loss, and again for the gradient,
+    each on freshly allocated arrays.  Parameters are [weights, biases] for
+    logistic models and [w1, b1, w2, b2] for MLPs.
+    """
+    from smoothcert import training
+
+    xs = np.asarray([np.asarray(e.features, dtype=np.float64) for e in examples])
+    labels = np.asarray([e.label for e in examples], dtype=np.int64)
+    n, dim = xs.shape
+    root = training.NoiseStream(cfg.seed)
+    model = training._init_model(cfg, dim, int(labels.max()) + 1,
+                                 root.substream(training._INIT_STREAM_TAG))
+    augment = root.substream(training._AUGMENT_STREAM_TAG)
+    shuffler = np.random.default_rng(cfg.seed)
+    mlp = cfg.model_kind == "mlp"
+    if mlp:
+        w1, b1, w2, b2 = (p.copy() for p in (model.w1, model.b1, model.w2, model.b2))
+    else:
+        w, c = model.weights.copy(), model.biases.copy()
+
+    def scores(batch):
+        if mlp:
+            return np.tanh(batch @ w1.T + b1) @ w2.T + b2
+        return batch @ w.T + c
+
+    losses = []
+    for epoch in range(cfg.epochs):
+        noisy = xs
+        if cfg.sigma_train > 0.0:
+            noisy = xs + cfg.sigma_train * augment.standard_normals(epoch, 0, n, dim)
+        order = shuffler.permutation(n)
+        epoch_loss = 0.0
+        for lo in range(0, n, cfg.batch_size):
+            idx = order[lo:lo + cfg.batch_size]
+            batch, batch_labels = noisy[idx], labels[idx]
+            rows = np.arange(len(idx))
+            picked = _softmax_copy(scores(batch))[rows, batch_labels]
+            epoch_loss += float(-np.mean(np.log(np.maximum(picked, 1e-300)))) * len(idx)
+            lr = cfg.learning_rate
+            if mlp:
+                h = np.tanh(batch @ w1.T + b1)
+                coeffs = _softmax_copy(h @ w2.T + b2)
+            else:
+                coeffs = _softmax_copy(batch @ w.T + c)
+            coeffs[rows, batch_labels] -= 1.0
+            coeffs /= len(idx)
+            if mlp:
+                grad_h = (coeffs @ w2) * (1.0 - h * h)
+                w2 -= lr * coeffs.T @ h
+                b2 -= lr * coeffs.sum(axis=0)
+                w1 -= lr * grad_h.T @ batch
+                b1 -= lr * grad_h.sum(axis=0)
+            else:
+                w -= lr * coeffs.T @ batch
+                c -= lr * coeffs.sum(axis=0)
+        losses.append(epoch_loss / n)
+    return ([w1, b1, w2, b2] if mlp else [w, c]), losses

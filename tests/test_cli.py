@@ -152,7 +152,9 @@ class TestInputValidation:
         assert not out.exists()
 
     @pytest.mark.parametrize("bad", [["--epochs", "0"], ["--lr", "nan"],
-                                     ["--batch-size", "0"], ["--hidden-width", "0"]])
+                                     ["--batch-size", "0"], ["--hidden-width", "0"],
+                                     ["--lr", "inf"], ["--sigma-train", "nan"],
+                                     ["--sigma-train", "inf"]])
     def test_bad_train_options_exit_2(self, tmp_path, dataset_path, bad):
         out = tmp_path / "m.model"
         code = main(["train", "--data", dataset_path, "--out", str(out),
@@ -429,6 +431,21 @@ class TestReportCommand:
         assert code == 2
         assert "NaN" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("field,value", [("radius", "0.9890047910705847"),
+                                             ("pa_lower", "0.9760361871553097")])
+    def test_nan_in_a_record_exits_2_naming_line(self, tmp_path, capsys, field, value):
+        """A certified record with a NaN radius or pa_lower is rejected, not
+        counted as never certified."""
+        text = (DATA / "report_records.jsonl").read_text()
+        old = f'"{field}": {value},'
+        assert text.count(old) == 1
+        records = tmp_path / "records.jsonl"
+        records.write_text(text.replace(old, f'"{field}": NaN,'))
+        code = main(["report", "--records", str(records), "--radii", "0,1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{records}:2:" in err and field in err
 
     def test_infinite_radius_accepted(self, capsys):
         code = main(["report", "--records", str(DATA / "report_records.jsonl"),

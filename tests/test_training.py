@@ -90,8 +90,58 @@ class TestTrainWithNoise:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(sigma_train=-1.0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="sigma_train"):
+                TrainConfig(sigma_train=bad)
+            with pytest.raises(ValueError, match="learning_rate"):
+                TrainConfig(sigma_train=0.0, learning_rate=bad)
         with pytest.raises(ValueError):
             TrainConfig(sigma_train=0.0, model_kind="transformer")
+
+
+def model_params(model):
+    if isinstance(model, MlpModel):
+        return [model.w1, model.b1, model.w2, model.b2]
+    return [model.weights, model.biases]
+
+
+def labelled_blobs(num_labels, count=203, dim=3, seed=4):
+    """count points in num_labels shifted Gaussian blobs, labels in turn."""
+    rng = np.random.default_rng(seed)
+    labels = np.arange(count) % num_labels
+    centers = 2.0 * rng.normal(size=(num_labels, dim))
+    features = centers[labels] + rng.normal(size=(count, dim))
+    return [LabeledExample(x, int(c)) for x, c in zip(features, labels)]
+
+
+class TestSinglePassStep:
+    """train_with_noise runs one forward pass per mini-batch, in place; the
+    two-pass loop in reference.reference_train is its bit-exact oracle."""
+
+    @pytest.mark.parametrize("kind,num_labels", [("logistic", 2), ("logistic", 3),
+                                                 ("mlp", 2), ("mlp", 3)])
+    @pytest.mark.parametrize("epochs,batch_size,sigma", [(1, 64, 0.0), (3, 7, 0.5),
+                                                         (6, 50, 0.5)])
+    def test_bit_identical_to_two_pass_loop(self, kind, num_labels, epochs, batch_size,
+                                            sigma):
+        examples = labelled_blobs(num_labels)
+        cfg = TrainConfig(sigma_train=sigma, epochs=epochs, learning_rate=0.8,
+                          batch_size=batch_size, seed=epochs, model_kind=kind,
+                          hidden_width=16)
+        model = train_with_noise(examples, cfg)
+        params, losses = reference.reference_train(examples, cfg)
+        for got, want in zip(model_params(model), params, strict=True):
+            assert np.array_equal(got, want)
+        assert model.loss_history == losses
+
+    def test_mlp_scores_match_plain_expression(self):
+        rng = np.random.default_rng(8)
+        w1, b1 = rng.normal(size=(16, 5)), rng.normal(size=16)
+        w2, b2 = rng.normal(size=(3, 16)), rng.normal(size=3)
+        model = MlpModel(w1, b1, w2, b2)
+        xs = rng.normal(size=(100, 5))
+        assert np.array_equal(model.scores_batch(xs), np.tanh(xs @ w1.T + b1) @ w2.T + b2)
+        assert np.array_equal(model.scores_batch(xs[0]), np.tanh(xs[:1] @ w1.T + b1) @ w2.T + b2)
 
 
 class TestGradients:
