@@ -137,64 +137,52 @@ def _add_sampling_flags(sub, with_n0: bool = True):
                      "worker samples in blocks of at most 2^16 deviates")
 
 
-def _run_certify(args) -> int:
+def _run_examples(args, decide, record, kind: str, verb: str) -> int:
+    """The example loop of certify and predict: decide(model, params, x, ...)
+    is certify or predict, and record(idx, true_label, outcome, params, seed,
+    wall_ms) builds what the writer takes.  The timer, the tallies and the
+    stderr summary are the same for both."""
     params, seed, parallelism, batch_size = _protocol(args, _load_config(args.config))
     features, labels, model = _open_inputs(args)
     stream = NoiseStream(seed)
 
-    n_certified = n_abstained = n_wrong = 0
+    n_right = n_abstained = 0
     t_start = time.perf_counter()
-    with RecordWriter(args.out) as writer:
+    with RecordWriter(args.out, kind=kind) as writer:
         for idx, (x, true_label) in enumerate(zip(features, labels)):
             t0 = time.perf_counter()
-            cert = certify(model, params, x, stream, example_id=idx,
-                           batch_size=batch_size, parallelism=parallelism)
+            outcome = decide(model, params, x, stream, example_id=idx,
+                             batch_size=batch_size, parallelism=parallelism)
             wall_ms = 0.0 if args.no_timing else (time.perf_counter() - t0) * 1000.0
-            if cert.abstained:
-                n_abstained += 1
-            elif cert.label == true_label:
-                n_certified += 1
-            else:
-                n_wrong += 1
-            writer.write(CertificationRecord(
-                example_index=idx, true_label=int(true_label),
-                **certification_fields(cert, store_counts=args.store_counts),
-                sigma=params.sigma, n0=params.n0, n=params.n, alpha=params.alpha,
-                seed=seed, wall_time_ms=wall_ms))
+            n_abstained += outcome.abstained
+            n_right += outcome.label == true_label  # an abstention's label is None
+            writer.write(record(idx, int(true_label), outcome, params, seed, wall_ms))
     total_ms = (time.perf_counter() - t_start) * 1000.0
-    print(f"certified {n_certified} abstained {n_abstained} wrong {n_wrong} "
+    n_wrong = len(labels) - n_right - n_abstained
+    print(f"{verb} {n_right} abstained {n_abstained} wrong {n_wrong} "
           f"wall_ms {total_ms:.1f}", file=sys.stderr)
     return 0
+
+
+def _run_certify(args) -> int:
+    def record(idx, true_label, cert, params, seed, wall_ms):
+        return CertificationRecord(
+            example_index=idx, true_label=true_label,
+            **certification_fields(cert, store_counts=args.store_counts),
+            sigma=params.sigma, n0=params.n0, n=params.n, alpha=params.alpha,
+            seed=seed, wall_time_ms=wall_ms)
+
+    return _run_examples(args, certify, record, "certification", "certified")
 
 
 def _run_predict(args) -> int:
-    params, seed, parallelism, batch_size = _protocol(args, _load_config(args.config))
-    features, labels, model = _open_inputs(args)
-    stream = NoiseStream(seed)
-
-    n_predicted = n_abstained = n_wrong = 0
-    t_start = time.perf_counter()
-    with RecordWriter(args.out, kind="prediction") as writer:
-        for idx, (x, true_label) in enumerate(zip(features, labels)):
-            t0 = time.perf_counter()
-            outcome = predict(model, params, x, stream, example_id=idx,
-                              batch_size=batch_size, parallelism=parallelism)
-            wall_ms = 0.0 if args.no_timing else (time.perf_counter() - t0) * 1000.0
-            if outcome.abstained:
-                n_abstained += 1
-            elif outcome.label == true_label:
-                n_predicted += 1
-            else:
-                n_wrong += 1
-            writer.write({
-                "example_index": idx, "true_label": int(true_label),
+    def record(idx, true_label, outcome, params, seed, wall_ms):
+        return {"example_index": idx, "true_label": true_label,
                 "outcome": "abstain" if outcome.abstained else "predicted",
                 "predicted_label": outcome.label, "sigma": params.sigma, "n": params.n,
-                "alpha": params.alpha, "seed": seed, "wall_time_ms": wall_ms})
-    total_ms = (time.perf_counter() - t_start) * 1000.0
-    print(f"predicted {n_predicted} abstained {n_abstained} wrong {n_wrong} "
-          f"wall_ms {total_ms:.1f}", file=sys.stderr)
-    return 0
+                "alpha": params.alpha, "seed": seed, "wall_time_ms": wall_ms}
+
+    return _run_examples(args, predict, record, "prediction", "predicted")
 
 
 def _run_bounds(args) -> int:

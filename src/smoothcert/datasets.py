@@ -52,6 +52,12 @@ def read_csv(path) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(rows, dtype=np.float64), labels_arr
 
 
+def _check_finite(**params) -> None:
+    for name, value in params.items():
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def two_gaussians(count: int, center: float = 2.0, std: float = 1.0,
                   seed: int = 0, std1: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """2-D binary data: class 0 around (-center, 0), class 1 around (+center, 0).
@@ -62,6 +68,7 @@ def two_gaussians(count: int, center: float = 2.0, std: float = 1.0,
     """
     if count < 2:
         raise ValueError("count must be >= 2")
+    _check_finite(center=center, std=std, std1=std1)
     rng = np.random.default_rng(seed)
     half = count // 2
     sizes = [count - half, half]
@@ -81,6 +88,7 @@ def xor_grid(count: int, center: float = 1.5, std: float = 0.5,
     quadrant signs differ."""
     if count < 4:
         raise ValueError("count must be >= 4")
+    _check_finite(center=center, std=std)
     rng = np.random.default_rng(seed)
     corners = [(1, 1), (-1, -1), (1, -1), (-1, 1)]
     per = [count // 4 + (1 if i < count % 4 else 0) for i in range(4)]

@@ -68,9 +68,6 @@ class LinearModel(DifferentiableClassifier):
     def classify_batch(self, xs: np.ndarray) -> np.ndarray:
         return (np.atleast_2d(xs) @ self.w + self.b > 0.0).astype(np.int64)
 
-    def score_gradient(self, x: np.ndarray, label: int) -> np.ndarray:
-        return self.w.copy() if label == 1 else np.zeros(self.dim)
-
     def loss_input_gradients(self, xs: np.ndarray, label: int) -> np.ndarray:
         xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
         m = xs @ self.w + self.b

@@ -117,10 +117,6 @@ def encode_record(rec: CertificationRecord) -> str:
     return json.dumps(obj)
 
 
-def decode_record(line: str) -> CertificationRecord:
-    return _record_from_object(json.loads(line))
-
-
 def _record_from_object(obj: dict) -> CertificationRecord:
     missing = [f for f in _REQUIRED_FIELDS if f not in obj]
     if missing:

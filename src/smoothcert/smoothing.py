@@ -26,8 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bounds import tight_radius_binary
 from .noise import NoiseStream, block_rows
-from .statfun import binom_two_sided_pvalue, clopper_pearson_lower, std_normal_quantile
+from .statfun import binom_two_sided_pvalue, clopper_pearson_lower
 
 DEFAULT_BATCH_SIZE = 1000
 
@@ -50,7 +51,7 @@ class BaseClassifier(ABC):
 
 
 class DifferentiableClassifier(BaseClassifier):
-    """Classifier that additionally exposes per-label scores and gradients.
+    """Classifier that additionally exposes per-label scores and loss gradients.
 
     classify must agree with argmax of scores under the lowest-index tie rule,
     which np.argmax provides.
@@ -59,13 +60,6 @@ class DifferentiableClassifier(BaseClassifier):
     @abstractmethod
     def scores_batch(self, xs: np.ndarray) -> np.ndarray:
         """Per-label scores for a batch, shape (m, d) -> (m, num_labels)."""
-
-    @abstractmethod
-    def score_gradient(self, x: np.ndarray, label: int) -> np.ndarray:
-        """Gradient of scores(x)[label] with respect to x, shape (d,)."""
-
-    def scores(self, x) -> np.ndarray:
-        return self.scores_batch(np.atleast_2d(np.asarray(x, dtype=np.float64)))[0]
 
     def classify_batch(self, xs: np.ndarray) -> np.ndarray:
         return np.argmax(self.scores_batch(xs), axis=1).astype(np.int64)
@@ -212,7 +206,7 @@ def decide_certification(guess: int, counts: ClassCounts, alpha: float,
     if pa_lower <= 0.5:
         return Certification(label=None, radius=None, pa_lower=None, guess=guess,
                              counts=counts)
-    return Certification(label=guess, radius=sigma * std_normal_quantile(pa_lower),
+    return Certification(label=guess, radius=tight_radius_binary(pa_lower, sigma),
                          pa_lower=pa_lower, guess=guess, counts=counts)
 
 

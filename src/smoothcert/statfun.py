@@ -8,9 +8,7 @@ reduces to these functions:
   down until the binomial upper tail at the result is at most alpha, so
   floating-point error never puts the bound on the unsafe side;
 * the two-sided p-value of the abstention test is the binomial CDF as a
-  regularized incomplete beta function, ``betainc``, rounded up;
-* ``log_binomial_cdf`` sums binomial CDFs in log space so they stay finite out
-  to n = 1e7.
+  regularized incomplete beta function, ``betainc``, rounded up.
 
 The normal CDF and quantile accept floats or numpy arrays and broadcast
 elementwise.
@@ -21,11 +19,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import betainc, betaincinv, gammaln, logsumexp, ndtr, ndtri
-
-# Chunk size for log-space binomial sums; bounds peak memory at a few MB even
-# for n = 1e7.
-_CHUNK = 1 << 20
+from scipy.special import betainc, betaincinv, ndtr, ndtri
 
 # Relative margin below alpha that the Clopper-Pearson tail must reach, so the
 # stopping test does not rely on the last digits of betainc (measured relative
@@ -38,6 +32,11 @@ _TAIL_MARGIN = 1e-12
 # above 1e-27.  Only deeper tails at larger n erred more (3.5e-11 seen at n
 # near 2e7).
 _PVALUE_MARGIN = 1.5e-11
+
+# Smallest two-sided p-value reported.  From n = 1075, where 2^-n underflows,
+# betainc returns 0 for p-values up to 7.9e-254 (n = 1075, lo = 38, against
+# 40-digit sums); just above that it is accurate again.
+_PVALUE_FLOOR = 1e-250
 
 
 def std_normal_cdf(z):
@@ -61,34 +60,6 @@ def std_normal_quantile(p):
     return float(out) if out.ndim == 0 else out
 
 
-def _log_binom_terms(i: np.ndarray, n: int, log_p: float, log_q: float) -> np.ndarray:
-    return (gammaln(n + 1.0) - gammaln(i + 1.0) - gammaln(n - i + 1.0)
-            + i * log_p + (n - i) * log_q)
-
-
-def log_binomial_cdf(k: int, n: int, p: float) -> float:
-    """log P(Binomial(n, p) <= k), summed entirely in log space.
-
-    Stays finite (no underflow) for n up to 1e7; the only -inf output is the
-    empty-tail case p = 1, k < n.
-    """
-    if not 0 <= k <= n or n < 1:
-        raise ValueError("need 0 <= k <= n and n >= 1")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
-    if k == n or p == 0.0:
-        return 0.0
-    if p == 1.0:
-        return -math.inf
-
-    log_p, log_q = math.log(p), math.log1p(-p)
-    total = -math.inf
-    for lo in range(0, k + 1, _CHUNK):
-        i = np.arange(lo, min(lo + _CHUNK, k + 1), dtype=np.float64)
-        total = np.logaddexp(total, logsumexp(_log_binom_terms(i, n, log_p, log_q)))
-    return float(min(total, 0.0))
-
-
 def binom_two_sided_pvalue(k: int, n: int, p0: float = 0.5) -> float:
     """Two-sided p-value for k successes out of n under p0 = 1/2, rounded up.
 
@@ -96,17 +67,18 @@ def binom_two_sided_pvalue(k: int, n: int, p0: float = 0.5) -> float:
     2 P(X <= lo) with lo = min(k, n-k), clamped to 1.  P(X <= lo) is the
     regularized incomplete beta ``betainc(n - lo, lo + 1, 1/2)``, raised by a
     relative margin of 1.5e-11 so the result is never below the exact p-value:
-    too low a p-value could turn an abstention into a label.  (betainc
-    underflows to 0 a little early, below about 1e-270, far below any alpha.)
-    Only the symmetric null is supported; two-sided conventions diverge for
-    p0 != 1/2.
+    too low a p-value could turn an abstention into a label.  The result is
+    at least 1e-250, because betainc underflows to 0 early near n = 1100, so
+    any alpha below that floor abstains.  Only the symmetric null is
+    supported; two-sided conventions diverge for p0 != 1/2.
     """
     if not 0 <= k <= n or n < 1:
         raise ValueError("need 0 <= k <= n and n >= 1")
     if p0 != 0.5:
         raise ValueError("only the symmetric null p0 = 1/2 is supported")
     lower = min(k, n - k)
-    return min(1.0, 2.0 * float(betainc(n - lower, lower + 1, 0.5)) * (1.0 + _PVALUE_MARGIN))
+    pvalue = 2.0 * float(betainc(n - lower, lower + 1, 0.5)) * (1.0 + _PVALUE_MARGIN)
+    return min(1.0, max(pvalue, _PVALUE_FLOOR))
 
 
 def clopper_pearson_lower(k: int, n: int, alpha: float) -> float:

@@ -97,9 +97,6 @@ class SoftmaxLinearModel(DifferentiableClassifier):
     def scores_batch(self, xs: np.ndarray) -> np.ndarray:
         return np.atleast_2d(xs) @ self.weights.T + self.biases
 
-    def score_gradient(self, x: np.ndarray, label: int) -> np.ndarray:
-        return self.weights[label].copy()
-
     def loss_input_gradients(self, xs: np.ndarray, label: int) -> np.ndarray:
         coeffs = _softmax(self.scores_batch(xs))
         coeffs[:, label] -= 1.0
@@ -131,10 +128,6 @@ class MlpModel(DifferentiableClassifier):
 
     def scores_batch(self, xs: np.ndarray) -> np.ndarray:
         return self._hidden(xs) @ self.w2.T + self.b2
-
-    def score_gradient(self, x: np.ndarray, label: int) -> np.ndarray:
-        h = self._hidden(x[None, :])[0]
-        return ((1.0 - h * h) * self.w2[label]) @ self.w1
 
     def loss_input_gradients(self, xs: np.ndarray, label: int) -> np.ndarray:
         xs = np.atleast_2d(xs)
@@ -225,43 +218,3 @@ def train_with_noise(examples, cfg: TrainConfig):
 
     model.loss_history = losses
     return model
-
-
-def model_gradient_check(model: DifferentiableClassifier, x, label: int,
-                         step: float = 1e-5) -> float:
-    """Max scale-floored relative error of analytic vs finite-difference gradients.
-
-    Central differences with the given step on scores(.)[label], compared
-    coordinate-wise against score_gradient; the denominator is floored at 1
-    so exactly-zero gradients contribute zero error rather than NaN.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    analytic = model.score_gradient(x, label)
-    worst = 0.0
-    for j in range(x.shape[0]):
-        bump = np.zeros_like(x)
-        bump[j] = step
-        fd = (model.scores(x + bump)[label] - model.scores(x - bump)[label]) / (2.0 * step)
-        denom = max(1.0, abs(analytic[j]), abs(fd))
-        worst = max(worst, abs(analytic[j] - fd) / denom)
-    return worst
-
-
-def jensen_gap_diagnostic(model: DifferentiableClassifier, xs: np.ndarray,
-                          labels: np.ndarray, sigma: float, stream: NoiseStream,
-                          num_draws: int = 64) -> tuple[float, float]:
-    """(log of mean softmax probability, mean log softmax probability) under noise.
-
-    The first quantity is the soft objective that augmentation training
-    approximately maximizes; by Jensen's inequality it upper-bounds the
-    second (the negative cross-entropy).  Purely diagnostic.
-    """
-    xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-    labels = np.asarray(labels, dtype=np.int64)
-    soft, logp = [], []
-    for i, (x, label) in enumerate(zip(xs, labels)):
-        noisy = x[None, :] + sigma * stream.standard_normals(i, 0, num_draws, xs.shape[1])
-        probs = _softmax(model.scores_batch(noisy))[:, label]
-        soft.append(math.log(float(np.mean(probs))))
-        logp.append(float(np.mean(np.log(np.maximum(probs, 1e-300)))))
-    return float(np.mean(soft)), float(np.mean(logp))

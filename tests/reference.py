@@ -4,7 +4,7 @@ Nothing here imports from smoothcert's numerical paths: normal CDF/quantile
 come from mpmath (and scipy.stats.norm where machine precision suffices),
 binomial quantities from exact big-integer rational arithmetic, and the 1-D
 bound maximizations from brute-force dense grids, and softmax loss input
-gradients from a per-sample loop over score gradients.  Expected values
+gradients from central differences of the loss.  Expected values
 frozen in the tests were computed with these functions.  The one exception
 is reference_train: it takes the initial weights and the augmentation noise
 from smoothcert, and checks only the descent arithmetic that follows.
@@ -17,6 +17,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
+from scipy.special import logsumexp
 from scipy.stats import norm as scipy_norm
 
 mp.mp.dps = 40
@@ -105,17 +106,22 @@ def _softmax_copy(scores: np.ndarray) -> np.ndarray:
     return probs
 
 
-def loss_input_gradients(model, xs: np.ndarray, label: int) -> np.ndarray:
-    """Softmax cross-entropy input gradients, one row per sample, by a loop over
-    samples and labels of model.score_gradient: the per-sample form the
-    models' vectorized loss_input_gradients must equal."""
+def loss_input_gradients(model, xs: np.ndarray, label: int,
+                         step: float = 1e-5) -> np.ndarray:
+    """Softmax cross-entropy input gradients, one row per sample, by central
+    differences of the loss computed from model.scores_batch alone: what the
+    models' analytic loss_input_gradients must match."""
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-    coeffs = _softmax_copy(model.scores_batch(xs))
-    coeffs[:, label] -= 1.0
-    out = np.zeros_like(xs)
-    for i in range(xs.shape[0]):
-        for c in range(model.num_labels):
-            out[i] += coeffs[i, c] * model.score_gradient(xs[i], c)
+
+    def loss(batch):
+        scores = model.scores_batch(batch)
+        return logsumexp(scores, axis=1) - scores[:, label]
+
+    out = np.empty_like(xs)
+    for j in range(xs.shape[1]):
+        bump = np.zeros(xs.shape[1])
+        bump[j] = step
+        out[:, j] = (loss(xs + bump) - loss(xs - bump)) / (2.0 * step)
     return out
 
 

@@ -77,9 +77,6 @@ class TestZeroGradient:
             def scores_batch(self, xs):
                 return np.zeros((np.atleast_2d(xs).shape[0], 2))
 
-            def score_gradient(self, x, label):
-                return np.zeros_like(x)
-
             def loss_input_gradients(self, xs, label):
                 return reference.loss_input_gradients(self, xs, label)
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +44,17 @@ class TestDatasetCommand:
         code = main(["dataset", "--kind", "xor-grid", "--count", "8", "--std1",
                      "2.0", "--out", str(tmp_path / "x.csv")])
         assert code == 2
+
+    @pytest.mark.parametrize("kind,bad", [
+        ("two-gaussians", ["--std", "nan"]), ("two-gaussians", ["--center", "inf"]),
+        ("two-gaussians", ["--std1", "nan"]), ("xor-grid", ["--center=-inf"]),
+        ("xor-grid", ["--std", "nan"]),
+    ])
+    def test_non_finite_parameters_exit_2_before_writing(self, tmp_path, capsys, kind, bad):
+        out = tmp_path / "x.csv"
+        assert main(["dataset", "--kind", kind, "--count", "8", *bad, "--out", str(out)]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCertifyCommand:
@@ -285,6 +297,31 @@ class TestPredictCommand:
         assert len(lines) == 21
         body = [json.loads(line) for line in lines[1:]]
         assert all(rec["outcome"] in ("predicted", "abstain") for rec in body)
+
+
+class TestGoldenRecords:
+    """certify and predict reproduce, byte for byte, what commit 0976740 wrote
+    for the committed 28-point dataset and MLP(8) model: certified, abstained
+    and wrong examples alike, at n = 40000, so the estimation draws cross a
+    noise block edge and two workers split them."""
+
+    @pytest.mark.parametrize("parallelism", ["1", "2"])
+    @pytest.mark.parametrize("command,expected,options,summary", [
+        ("certify", "golden_certify.jsonl", ["--n0", "100", "--store-counts"],
+         r"certified 24 abstained 2 wrong 2 wall_ms \d+\.\d"),
+        ("predict", "golden_predict.jsonl", [],
+         r"predicted 24 abstained 1 wrong 3 wall_ms \d+\.\d"),
+    ], ids=["certify", "predict"])
+    def test_records_and_summary(self, tmp_path, capsys, command, expected, options,
+                                 summary, parallelism):
+        out = tmp_path / "out.jsonl"
+        code = main([command, "--data", str(DATA / "golden_data.csv"),
+                     "--model", str(DATA / "golden.model"), "--out", str(out),
+                     "--sigma", "0.5", "--n", "40000", "--alpha", "0.001", "--seed", "1",
+                     "--parallelism", parallelism, "--no-timing", *options])
+        assert code == 0
+        assert out.read_bytes() == (DATA / expected).read_bytes()
+        assert re.fullmatch(summary + "\n", capsys.readouterr().err)
 
 
 class TestBoundsCommand:

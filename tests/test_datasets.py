@@ -37,6 +37,17 @@ class TestGenerators:
         with pytest.raises(ValueError):
             xor_grid(3)
 
+    @pytest.mark.parametrize("bad", [{"center": float("nan")}, {"std": float("inf")},
+                                     {"std1": float("nan")}, {"center": -float("inf")}])
+    def test_two_gaussians_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="must be finite"):
+            two_gaussians(10, **bad)
+
+    @pytest.mark.parametrize("bad", [{"center": float("inf")}, {"std": float("nan")}])
+    def test_xor_grid_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="must be finite"):
+            xor_grid(10, **bad)
+
 
 class TestCsv:
     def test_round_trip(self, tmp_path):

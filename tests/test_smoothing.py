@@ -138,6 +138,12 @@ class TestDecidePrediction:
     def test_tied_counts_abstain(self):
         assert decide_prediction(counts_of(50, 50), 0.001).abstained
 
+    def test_abstains_where_betainc_underflows(self):
+        """The exact p-value of 1056 against 24 is 1.25e-276, above alpha = 1e-290:
+        the exact test abstains, and so must the floored one."""
+        assert decide_prediction(ClassCounts([1056, 24]), 1e-290).abstained
+        assert decide_prediction(ClassCounts([1056, 24]), 1e-3).label == 0
+
     def test_abstention_monotone_in_alpha(self):
         """Shrinking alpha can only turn a label into an abstention."""
         for counts in [counts_of(60, 40), counts_of(57, 43), counts_of(530, 470)]:

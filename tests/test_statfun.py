@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import reference
 from smoothcert.statfun import (binom_two_sided_pvalue, clopper_pearson_lower,
-                                log_binomial_cdf, std_normal_cdf, std_normal_quantile)
+                                std_normal_cdf, std_normal_quantile)
 
 GRID_P = [i / 1000 for i in range(1, 1000)]
 
@@ -78,65 +78,6 @@ class TestNormalQuantile:
         assert abs(std_normal_cdf(std_normal_quantile(p)) - p) < 1e-12
 
 
-class TestLogBinomialCdf:
-    def test_full_support(self):
-        assert log_binomial_cdf(10, 10, 0.3) == 0.0
-        assert log_binomial_cdf(5, 5, 0.999) == 0.0
-
-    def test_single_outcome(self):
-        """P(X = 0) for ten fair trials is 2^-10."""
-        assert abs(log_binomial_cdf(0, 10, 0.5) - math.log(2.0**-10)) < 1e-12
-
-    def test_against_exact_oracle(self):
-        """Matches big-integer rational summation across (k, n, p)."""
-        cases = [(50, 100, Fraction(1, 2)), (3, 17, Fraction(1, 3)),
-                 (40, 60, Fraction(7, 10)), (1, 200, Fraction(1, 100)),
-                 (199, 200, Fraction(99, 100))]
-        for k, n, p in cases:
-            expected = math.log(float(reference.exact_binom_cdf(k, n, p)))
-            got = log_binomial_cdf(k, n, float(p))
-            assert got == pytest.approx(expected, abs=1e-11)
-
-    def test_frozen_headline_value(self):
-        """log P(Binomial(100, 1/2) <= 50) = log 0.5397946186935894."""
-        assert log_binomial_cdf(50, 100, 0.5) == pytest.approx(
-            math.log(0.5397946186935894), abs=1e-12)
-
-    def test_no_underflow_at_ten_million(self):
-        """Deep tails stay finite in log space for n = 1e7."""
-        val = log_binomial_cdf(0, 10**7, 0.5)
-        assert math.isfinite(val)
-        assert val == pytest.approx(10**7 * math.log(0.5), rel=1e-12)
-
-    def test_chunked_summation_matches_scipy(self):
-        """Sums spanning multiple internal chunks agree with scipy's bdtr.
-
-        Tolerance 1e-8: the log-coefficient is a difference of gammaln values
-        of magnitude ~3e7 here, so a few ulp of those is the precision floor.
-        """
-        from scipy.stats import binom as scipy_binom
-        n, k = 2_100_000, 1_049_000  # k crosses the 2^20 chunk boundary
-        assert log_binomial_cdf(k, n, 0.5) == pytest.approx(
-            float(scipy_binom.logcdf(k, n, 0.5)), abs=1e-8)
-
-    def test_chunked_deep_tail_is_finite_and_monotone(self):
-        """Multi-chunk deep tail: finite where scipy underflows, monotone in k."""
-        lo = log_binomial_cdf(1_500_000, 10**7, 0.5)
-        hi = log_binomial_cdf(1_501_000, 10**7, 0.5)
-        assert math.isfinite(lo) and math.isfinite(hi)
-        assert lo < hi < 0.0
-
-    def test_degenerate_p(self):
-        assert log_binomial_cdf(3, 10, 0.0) == 0.0
-        assert log_binomial_cdf(3, 10, 1.0) == -math.inf
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            log_binomial_cdf(11, 10, 0.5)
-        with pytest.raises(ValueError):
-            log_binomial_cdf(0, 0, 0.5)
-
-
 class TestTwoSidedPvalue:
     def test_center_is_one(self):
         """Observing the exact center of Binomial(n, 1/2) is never significant."""
@@ -177,6 +118,15 @@ class TestTwoSidedPvalue:
         p = binom_two_sided_pvalue(k, n, 0.5)
         exact = reference.binom_two_sided_pvalue_mp(k, n)
         assert exact <= p <= exact * (1 + 1e-10)
+
+    @pytest.mark.parametrize("n", [1075, 1080, 1200])
+    def test_never_below_mpmath_where_betainc_underflows(self, n):
+        """From n = 1075, betainc returns 0 for p-values up to 7.9e-254 (at
+        k = 38, n = 1075); the floor keeps every result at or above the
+        40-digit mpmath sum, e.g. 1.25e-276 at k = 24, n = 1080."""
+        for k in range(61):
+            assert binom_two_sided_pvalue(k, n, 0.5) >= \
+                reference.binom_two_sided_pvalue_mp(k, n), (k, n)
 
     @pytest.mark.parametrize("alpha", [0.01, 0.05])
     def test_validity_by_enumeration(self, alpha):
