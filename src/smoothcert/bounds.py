@@ -14,7 +14,8 @@ change:
 
 The two prior bounds are strictly smaller wherever pa < 1; they exist here so
 the improvement is measurable, and as regression anchors for the ordering
-tight >= renyi >= dp.
+tight >= renyi >= dp (renyi >= dp holds from pa of about 0.1 up; below it dp
+can be the larger of the two).
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import numpy as np
 
 from .statfun import std_normal_cdf, std_normal_quantile
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GRID_POINTS = 1024
 
 
@@ -116,35 +116,22 @@ def max_certifiable_radius(n: int, alpha: float, sigma: float) -> float:
     return sigma * std_normal_quantile(p)
 
 
-def _golden_max(f, lo: float, hi: float, tol: float = 1e-9) -> tuple[float, float]:
-    """Golden-section maximization of a unimodal f on [lo, hi]."""
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > tol:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = f(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = f(x1)
-    x = 0.5 * (lo + hi)
-    return x, f(x)
+def _log_grid_max(f_vec, lo: float, hi: float) -> float:
+    """Max of f_vec on [lo, hi]: a coarse log grid brackets it, then scipy's
+    bounded Brent refines the bracket; the result is never below the grid's best."""
+    # imported here, not at module level: scipy.optimize would add about 190 ms
+    # and 22 MB to every smoothcert start, and only the two baseline radii use it
+    from scipy.optimize import minimize_scalar
 
-
-def _grid_refine_max(f_vec, lo: float, hi: float) -> float:
-    """Coarse log grid then golden-section refinement around the best bracket."""
     grid = np.geomspace(lo, hi, _GRID_POINTS)
     vals = f_vec(grid)
     best = int(np.nanargmax(vals))
     if not np.isfinite(vals[best]):
         return 0.0
-    blo = grid[max(best - 1, 0)]
-    bhi = grid[min(best + 1, _GRID_POINTS - 1)]
-    _, fx = _golden_max(lambda x: float(f_vec(np.asarray([x]))[0]), blo, bhi)
-    return max(fx, float(vals[best]))
+    bracket = (grid[max(best - 1, 0)], grid[min(best + 1, _GRID_POINTS - 1)])
+    found = minimize_scalar(lambda x: -float(f_vec(np.asarray([x]))[0]), bounds=bracket,
+                            method="bounded", options={"xatol": 1e-9})
+    return max(-float(found.fun), float(vals[best]))
 
 
 def dp_radius(inputs: BoundInputs) -> float:
@@ -171,7 +158,7 @@ def dp_radius(inputs: BoundInputs) -> float:
             2.0 * np.log(1.25 * (1.0 + np.exp(beta[ok])) / margin[ok]))
         return out
 
-    return _grid_refine_max(objective, beta_max * 1e-9, beta_max)
+    return _log_grid_max(objective, beta_max * 1e-9, beta_max)
 
 
 def renyi_radius(inputs: BoundInputs) -> float:
@@ -179,27 +166,30 @@ def renyi_radius(inputs: BoundInputs) -> float:
 
     Objective: sigma * sqrt(-(2/alpha) log(1 - pa - pb + 2 M_alpha)) where
     M_alpha = (0.5 (pa^(1-alpha) + pb^(1-alpha)))^(1/(1-alpha)) is the power
-    mean of order 1-alpha.  Searched over alpha - 1 on a logarithmic grid;
-    orders with log argument outside (0, 1) certify nothing and are skipped.
-    Returns 0 when pa = pb and math.inf for the degenerate pa = 1, pb = 0.
+    mean of order 1-alpha.  With r = pa/pb and u = alpha - 1 the mean is
+    evaluated as M_alpha / pb - 1 = expm1(-log1p(expm1(-u log r) / 2) / u):
+    nothing overflows (pb^(1-alpha) does at large orders, and a mean read as 0
+    would certify more than the tight radius), and every step keeps its relative
+    precision, so pa + pb - 2 M_alpha keeps its digits near ties, where it is
+    of order (pa - pb)^2.  Searched over u on a logarithmic grid; orders with
+    log argument outside (0, 1) certify nothing and are skipped.  Returns 0
+    when pa = pb, and for pb = 0 the supremum sigma sqrt(-2 log(1 - pa)),
+    approached as alpha -> 1 (math.inf when pa = 1).
     """
     pa, pb, sigma = inputs.pa_lower, inputs.pb_upper, inputs.sigma
     if pa == pb:
         return 0.0
-    if pa == 1.0 and pb == 0.0:
-        return math.inf
+    if pb == 0.0:
+        return math.inf if pa == 1.0 else sigma * math.sqrt(-2.0 * math.log1p(-pa))
+    log_ratio = math.log1p((pa - pb) / pb)
 
     def objective(u: np.ndarray) -> np.ndarray:
-        alpha = 1.0 + u
-        with np.errstate(over="ignore"):
-            if pb == 0.0:
-                mean = np.zeros_like(u)
-            else:
-                mean = (0.5 * (pa ** (1.0 - alpha) + pb ** (1.0 - alpha))) ** (1.0 / (1.0 - alpha))
-        arg = 1.0 - pa - pb + 2.0 * mean
+        with np.errstate(over="ignore"):  # log_ratio = inf when pb is subnormal
+            excess = np.expm1(-np.log1p(0.5 * np.expm1(-u * log_ratio)) / u)
+        gap = (pa - pb) - 2.0 * pb * excess  # pa + pb - 2 M_alpha
         out = np.full(u.shape, -np.inf)
-        ok = (arg > 0.0) & (arg < 1.0)
-        out[ok] = sigma * np.sqrt(-(2.0 / alpha[ok]) * np.log(arg[ok]))
+        ok = (gap > 0.0) & (gap < 1.0)
+        out[ok] = sigma * np.sqrt(-(2.0 / (1.0 + u[ok])) * np.log1p(-gap[ok]))
         return out
 
-    return _grid_refine_max(objective, 1e-8, 1e4)
+    return _log_grid_max(objective, 1e-8, 1e4)

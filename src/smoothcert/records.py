@@ -35,6 +35,8 @@ import json
 import math
 from dataclasses import dataclass
 
+from .smoothing import SmoothingParams
+
 SCHEMA_VERSION = 1
 
 _REQUIRED_FIELDS = ("example_index", "true_label", "outcome", "predicted_label",
@@ -44,6 +46,9 @@ _REQUIRED_FIELDS = ("example_index", "true_label", "outcome", "predicted_label",
 
 @dataclass(frozen=True)
 class CertificationRecord:
+    """One certified or abstaining example; sigma, n0, n and alpha must lie in
+    SmoothingParams' ranges."""
+
     example_index: int
     true_label: int
     outcome: str  # "certified" | "abstain"
@@ -59,6 +64,7 @@ class CertificationRecord:
     wall_time_ms: float
 
     def __post_init__(self):
+        SmoothingParams(sigma=self.sigma, n0=self.n0, n=self.n, alpha=self.alpha)
         if self.outcome not in ("certified", "abstain"):
             raise ValueError("outcome must be 'certified' or 'abstain'")
         if self.outcome == "certified":
@@ -76,9 +82,6 @@ class CertificationRecord:
     def correct(self) -> bool:
         """True iff a certificate was issued for the true label."""
         return self.outcome == "certified" and self.predicted_label == self.true_label
-
-    def radius_at_least(self, r: float) -> bool:
-        return self.radius is not None and self.radius >= r
 
 
 def _encode_radius(radius: float | None):

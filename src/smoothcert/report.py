@@ -24,14 +24,6 @@ from .records import CertificationRecord, certification_fields
 from .smoothing import ClassCounts, decide_certification, project_counts
 
 
-def certified_accuracy(records: list[CertificationRecord], r: float) -> float:
-    """Fraction of records certified correct at radius >= r."""
-    if not records:
-        raise ValueError("records must be nonempty")
-    hits = sum(1 for rec in records if rec.correct and rec.radius_at_least(r))
-    return hits / len(records)
-
-
 def bernstein_lower_bound(y: int, m: int, alpha: float, rho: float) -> float:
     """High-probability lower bound on certified accuracy from Y certified hits.
 

@@ -82,7 +82,7 @@ class SmoothingParams:
         if not 0.0 < self.sigma < math.inf:
             raise ValueError("sigma must be positive and finite")
         if self.n0 < 1 or self.n < 1:
-            raise ValueError("sample counts must be >= 1")
+            raise ValueError("n0 and n must be >= 1")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
 

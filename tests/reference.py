@@ -141,13 +141,18 @@ def dp_radius_grid(pa: float, pb: float, sigma: float, points: int = 100_000) ->
 
 
 def renyi_radius_grid(pa: float, pb: float, sigma: float, points: int = 100_000) -> float:
-    """Dense log-grid maximization of the Renyi-divergence radius over alpha > 1."""
+    """Dense log-grid maximization of the Renyi-divergence radius over alpha > 1.
+
+    The power mean is factored as pb (0.5 (1 + (pa/pb)^(1-alpha)))^(1/(1-alpha)):
+    pa/pb >= 1 raised to 1 - alpha < 0 cannot overflow, where pb^(1-alpha)
+    does at large alpha.  This differs from smoothcert's log-space form, so the
+    grid stays an independent check.  Needs pb > 0.
+    """
     if pa == pb:
         return 0.0
     u = np.geomspace(1e-8, 1e4, points)
     alpha = 1.0 + u
-    with np.errstate(over="ignore"):
-        mean = (0.5 * (pa ** (1.0 - alpha) + pb ** (1.0 - alpha))) ** (1.0 / (1.0 - alpha))
+    mean = pb * (0.5 * (1.0 + (pa / pb) ** (1.0 - alpha))) ** (1.0 / (1.0 - alpha))
     arg = 1.0 - pa - pb + 2.0 * mean
     ok = (arg > 0.0) & (arg < 1.0)
     if not np.any(ok):

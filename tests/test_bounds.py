@@ -155,7 +155,8 @@ class TestRenyiRadius:
         assert renyi_radius(inputs(0.9, 0.9)) == 0.0
 
     def test_against_dense_grid(self):
-        for pa, pb in [(0.8, 0.2), (0.999, 0.001), (0.7, 0.1), (0.55, 0.45)]:
+        for pa, pb in [(0.8, 0.2), (0.999, 0.001), (0.7, 0.1), (0.55, 0.45),
+                       (0.533041, 0.444245)]:
             got = renyi_radius(inputs(pa, pb))
             oracle = reference.renyi_radius_grid(pa, pb, 1.0)
             assert got == pytest.approx(oracle, rel=1e-6)
@@ -185,3 +186,33 @@ class TestOrdering:
             assert tight >= renyi >= dp
             if pa <= 0.99:
                 assert tight > renyi
+
+    def test_near_tie_renyi_below_tight(self):
+        """pb^(1-alpha) overflows at large orders here; a power mean read as 0
+        put renyi at 0.0994 against tight 0.0516."""
+        bi = inputs(0.5166583176525819, 0.4754790879217296)
+        tight, renyi, dp = tight_radius(bi), renyi_radius(bi), dp_radius(bi)
+        assert tight >= renyi >= dp
+        assert renyi == pytest.approx(reference.renyi_radius_grid(
+            0.5166583176525819, 0.4754790879217296, 1.0), rel=1e-6)
+
+    def test_random_asymmetric_pairs(self):
+        """tight >= renyi and tight >= dp for 0 <= pb <= min(pa, 1 - pa):
+        uniform pairs, near ties (pb within a relative 1e-8 to 0.3 below
+        min(pa, 1 - pa)) and pb = 0.  renyi >= dp is checked from pa = 0.2:
+        below pa = 0.1 dp can exceed renyi (pa = 0.033, pb = 0.0066 at
+        sigma 1: 0.199 against 0.142, with tight 0.319)."""
+        rng = np.random.default_rng(11)
+        pairs = []
+        for _ in range(200):
+            pa = rng.uniform(0.0, 1.0)
+            pairs.append((pa, rng.uniform(0.0, min(pa, 1.0 - pa))))
+            pa = rng.uniform(0.2, 0.8)
+            pairs.append((pa, min(pa, 1.0 - pa) * (1.0 - 10.0 ** rng.uniform(-8.0, -0.5))))
+        pairs += [(pa, 0.0) for pa in rng.uniform(0.05, 0.95, 10)]
+        for pa, pb in pairs:
+            bi = inputs(pa, pb, sigma=rng.uniform(0.1, 3.0))
+            tight, renyi, dp = tight_radius(bi), renyi_radius(bi), dp_radius(bi)
+            assert tight >= max(renyi, dp), (pa, pb)
+            if pa >= 0.2:
+                assert renyi >= dp, (pa, pb)

@@ -1,11 +1,15 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import smoothcert
 from smoothcert.cli import main
 from smoothcert.modelio import save_model
 from smoothcert.oracles import ConstantClassifier, LinearModel
@@ -340,6 +344,17 @@ class TestBoundsCommand:
         assert main(["bounds", "--pa", "0.3", "--pb", "0.6"]) == 2
         assert main(["bounds", "--pa", "0.9", "--sigma", "inf"]) == 2
 
+    def test_walkthrough_output(self, capsys):
+        assert main(["bounds", "--pa", "0.9", "--sigma", "0.5"]) == 0
+        assert capsys.readouterr().out == ("tight\t0.640775783\ndp\t0.195133577\n"
+                                           "renyi\t0.515964782\n")
+
+    def test_cli_import_leaves_scipy_optimize_unloaded(self):
+        """Only the baseline radii use scipy.optimize, and they import it themselves."""
+        code = "import sys, smoothcert.cli; sys.exit('scipy.optimize' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(smoothcert.__file__).parents[1])}
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
 
 class TestTrainCommand:
     def test_train_then_certify(self, tmp_path):
@@ -479,6 +494,24 @@ class TestReportCommand:
         assert text.count(old) == 1
         records = tmp_path / "records.jsonl"
         records.write_text(text.replace(old, f'"{field}": NaN,'))
+        code = main(["report", "--records", str(records), "--radii", "0,1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{records}:2:" in err and field in err
+
+    @pytest.mark.parametrize("field,value", [("sigma", "0.0"), ("sigma", "NaN"),
+                                             ("sigma", "Infinity"), ("n0", "0"),
+                                             ("n", "0"), ("alpha", "1.0")])
+    def test_out_of_range_protocol_exits_2_naming_line(self, tmp_path, capsys, field,
+                                                       value):
+        """Every record's sigma, n0, n and alpha must lie in SmoothingParams'
+        ranges; with sigma 0.0 in every record, report printed accuracies."""
+        protocol = {"sigma": "0.5", "n0": "100", "n": "1000", "alpha": "0.001"}
+        text = (DATA / "report_records.jsonl").read_text()
+        old = f'"{field}": {protocol[field]},'
+        assert text.count(old) == 12
+        records = tmp_path / "records.jsonl"
+        records.write_text(text.replace(old, f'"{field}": {value},'))
         code = main(["report", "--records", str(records), "--radii", "0,1"])
         assert code == 2
         err = capsys.readouterr().err

@@ -7,9 +7,8 @@ import pytest
 import reference
 from smoothcert.records import (CertificationRecord, RecordWriter, encode_record,
                                 read_records)
-from smoothcert.report import (accuracy_curve, bernstein_lower_bound,
-                               certified_accuracy, project_record, projected_curve,
-                               render_json, render_tsv)
+from smoothcert.report import (accuracy_curve, bernstein_lower_bound, project_record,
+                               projected_curve, render_json, render_tsv)
 
 
 def record(idx=0, true_label=0, outcome="certified", predicted=0, radius=1.0,
@@ -23,6 +22,11 @@ def record(idx=0, true_label=0, outcome="certified", predicted=0, radius=1.0,
                                radius=radius, pa_lower=pa, counts=counts,
                                sigma=0.5, n0=100, n=n, alpha=alpha, seed=0,
                                wall_time_ms=1.0)
+
+
+def certified_accuracy(records, r):
+    """The approximate certified accuracy column of accuracy_curve at radius r."""
+    return accuracy_curve(records, [r])[0][1]
 
 
 class TestCertifiedAccuracy:
@@ -113,8 +117,8 @@ class TestAccuracyCurve:
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_brute_force(self, seed):
-        """Every row equals certified_accuracy and bernstein_lower_bound at its
-        radius, on records with abstains, wrong labels and infinite radii, at
+        """Every row equals the brute-force hit fraction and bernstein_lower_bound
+        at its radius, on records with abstains, wrong labels and infinite radii, at
         radii that are negative, repeated, infinite or equal to a record's."""
         rng = np.random.default_rng(seed)
         pool = [0.0, 0.25, 0.5, math.inf]
@@ -130,9 +134,9 @@ class TestAccuracyCurve:
         rows = accuracy_curve(records, radii, rho=0.01)
         expected = []
         for r in radii:
-            acc = certified_accuracy(records, r)
-            hits = sum(rec.correct and rec.radius_at_least(r) for rec in records)
-            expected.append((r, acc, bernstein_lower_bound(hits, len(records), 0.001, 0.01)))
+            hits = sum(rec.correct and rec.radius >= r for rec in records)
+            expected.append((r, hits / len(records),
+                             bernstein_lower_bound(hits, len(records), 0.001, 0.01)))
         assert rows == expected
         assert all(type(v) is float for row in rows for v in row)
 

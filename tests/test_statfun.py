@@ -111,10 +111,13 @@ class TestTwoSidedPvalue:
 
     @pytest.mark.parametrize("k,n", [(49227, 100005), (49550, 99991), (50395, 100003),
                                      (502427, 999991), (497851, 1000007),
-                                     (496917, 1000008), (503979, 1000002)])
+                                     (496917, 1000008), (503979, 1000002),
+                                     (7465639, 15055843), (10389853, 20865553)])
     def test_never_below_mpmath_large_n(self, k, n):
         """Safe side at large n against 40-digit mpmath sums, at (k, n) where
-        betainc alone is below them, and less than 1e-10 relative above."""
+        betainc alone is below them, and less than 1e-10 relative above.  At
+        the last two, with p-values of 4.0e-226 and 8.5e-79, betainc is 1.9e-11
+        and 1.6e-11 relative below, beyond a fixed 1.5e-11 margin."""
         p = binom_two_sided_pvalue(k, n, 0.5)
         exact = reference.binom_two_sided_pvalue_mp(k, n)
         assert exact <= p <= exact * (1 + 1e-10)
