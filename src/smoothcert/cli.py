@@ -271,13 +271,16 @@ def _parse_radii(text: str) -> list[float]:
             radii = [float(p) for p in text.split(",") if p.strip()]
             if any(math.isnan(r) for r in radii):
                 raise UsageError(f"radii must not be NaN, got {text}")
-            return radii
-        start, stop, step = (float(p) for p in text.split(":"))
+        else:
+            start, stop, step = (float(p) for p in text.split(":"))
+            if not (step > 0.0 and math.isfinite(stop - start)):
+                raise UsageError("radii range needs finite ends and a positive step")
+            radii = [start + i * step for i in range(int((stop - start) / step + 1e-9) + 1)]
     except ValueError:
         raise UsageError(f"radii must be a comma list or start:stop:step, got {text}")
-    if not (step > 0.0 and math.isfinite(stop - start)):
-        raise UsageError("radii range needs finite ends and a positive step")
-    return [start + i * step for i in range(int((stop - start) / step + 1e-9) + 1)]
+    if not radii:
+        raise UsageError(f"radii list is empty, got {text}")
+    return radii
 
 
 def _run_report(args) -> int:

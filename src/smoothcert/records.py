@@ -90,12 +90,6 @@ def _encode_radius(radius: float | None):
     return "inf" if math.isinf(radius) else float(radius)
 
 
-def _decode_radius(value):
-    if value is None:
-        return None
-    return math.inf if value == "inf" else float(value)
-
-
 def certification_fields(cert, store_counts: bool = True) -> dict:
     """The record fields a smoothing.Certification decides, counts only if stored."""
     return {"outcome": "abstain" if cert.abstained else "certified",
@@ -120,27 +114,45 @@ def encode_record(rec: CertificationRecord) -> str:
     return json.dumps(obj)
 
 
+def _number(value, name: str, kind=float, nullable: bool = False):
+    """A decoded JSON value as kind (int or float); a wrong type is a ValueError.
+
+    As for the CLI's options, booleans and strings are not numbers, and an
+    integer field takes a float only when it is integral.
+    """
+    if value is None and nullable:
+        return None
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or (kind is int and isinstance(value, float) and not value.is_integer())):
+        raise ValueError(f"{name} must be {'an integer' if kind is int else 'a number'}"
+                         f"{' or null' if nullable else ''}, got {json.dumps(value)}")
+    return kind(value)
+
+
 def _record_from_object(obj: dict) -> CertificationRecord:
     missing = [f for f in _REQUIRED_FIELDS if f not in obj]
     if missing:
         raise ValueError(f"record missing fields: {', '.join(missing)}")
     counts = obj.get("counts")
     if counts is not None:
-        counts = {int(k): int(v) for k, v in counts.items()}
+        if not isinstance(counts, dict):
+            raise ValueError(f"counts must be an object or null, got {json.dumps(counts)}")
+        counts = {int(k): _number(v, f"counts[{k!r}]", int) for k, v in counts.items()}
+    radius = obj["radius"]
     return CertificationRecord(
-        example_index=int(obj["example_index"]),
-        true_label=int(obj["true_label"]),
+        example_index=_number(obj["example_index"], "example_index", int),
+        true_label=_number(obj["true_label"], "true_label", int),
         outcome=obj["outcome"],
-        predicted_label=None if obj["predicted_label"] is None else int(obj["predicted_label"]),
-        radius=_decode_radius(obj["radius"]),
-        pa_lower=None if obj["pa_lower"] is None else float(obj["pa_lower"]),
+        predicted_label=_number(obj["predicted_label"], "predicted_label", int, nullable=True),
+        radius=math.inf if radius == "inf" else _number(radius, "radius", nullable=True),
+        pa_lower=_number(obj["pa_lower"], "pa_lower", nullable=True),
         counts=counts,
-        sigma=float(obj["sigma"]),
-        n0=int(obj["n0"]),
-        n=int(obj["n"]),
-        alpha=float(obj["alpha"]),
-        seed=int(obj["seed"]),
-        wall_time_ms=float(obj["wall_time_ms"]),
+        sigma=_number(obj["sigma"], "sigma"),
+        n0=_number(obj["n0"], "n0", int),
+        n=_number(obj["n"], "n", int),
+        alpha=_number(obj["alpha"], "alpha"),
+        seed=_number(obj["seed"], "seed", int),
+        wall_time_ms=_number(obj["wall_time_ms"], "wall_time_ms"),
     )
 
 
@@ -184,6 +196,8 @@ def read_records(path) -> list[CertificationRecord]:
                 continue
             try:
                 obj = json.loads(line)
+                if not isinstance(obj, dict):
+                    raise ValueError(f"a record line must be a JSON object, got {line}")
                 if "schema_version" not in obj:
                     records.append(_record_from_object(obj))
                 elif obj["schema_version"] != SCHEMA_VERSION:

@@ -14,6 +14,7 @@ had certification used a different number of samples.
 
 from __future__ import annotations
 
+import json
 import math
 from bisect import bisect_left
 from dataclasses import replace
@@ -111,24 +112,20 @@ def render_tsv(rows: list[tuple[float, float, float]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_float(x: float) -> str:
-    """x as json.dumps writes a float, Infinity and NaN included."""
-    if math.isfinite(x):
-        return float.__repr__(x)
-    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
-
-
-_JSON_ROW = ('  {{\n    "radius": {},\n    "certified_accuracy": {},\n'
-             '    "bernstein_lower_bound": {}\n  }}')
+_JSON_ROW = ('  {\n    "radius": %s,\n    "certified_accuracy": %s,\n'
+             '    "bernstein_lower_bound": %s\n  }')
 
 
 def render_json(rows: list[tuple[float, float, float]]) -> str:
     """Machine-readable variant mirroring the TSV columns.
 
-    The bytes are those of ``json.dumps(objects, indent=2)`` and a newline,
-    written directly: with an indent, json falls back to its pure-Python
-    encoder.
+    The bytes are those of ``json.dumps(objects, indent=2)`` and a newline.
+    With an indent, json falls back to its pure-Python encoder, so the floats
+    go through one unindented dump, which uses the C encoder and writes each
+    as the indented one would (Infinity and NaN included), and fill a row
+    template.
     """
     if not rows:
         return "[]\n"
-    return "[\n" + ",\n".join(_JSON_ROW.format(*map(_json_float, row)) for row in rows) + "\n]\n"
+    values = json.dumps([x for row in rows for x in row])[1:-1].split(", ")
+    return "[\n" + ",\n".join([_JSON_ROW] * len(rows)) % tuple(values) + "\n]\n"

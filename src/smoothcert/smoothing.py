@@ -54,7 +54,10 @@ class DifferentiableClassifier(BaseClassifier):
     """Classifier that additionally exposes per-label scores and loss gradients.
 
     classify must agree with argmax of scores under the lowest-index tie rule,
-    which np.argmax provides.
+    which np.argmax provides.  A two-label model may instead compare its one
+    score difference with zero: that agrees with the argmax except where the
+    two scores are within rounding of each other, and an exact tie gives
+    label 0.
     """
 
     @abstractmethod

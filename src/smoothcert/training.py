@@ -15,6 +15,7 @@ initialization and batch shuffling derive from the same seed.
 from __future__ import annotations
 
 import math
+from abc import abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,7 +87,33 @@ def _loss_and_coeffs(scores: np.ndarray, labels: np.ndarray) -> tuple[float, np.
     return loss, probs
 
 
-class SoftmaxLinearModel(DifferentiableClassifier):
+class _AffineHeadModel(DifferentiableClassifier):
+    """A trained model whose scores are an affine map of its last features.
+
+    Both kinds decide their labels here.  With two labels, label 1 is taken
+    exactly where the score difference features @ (w[1] - w[0]) exceeds
+    b[0] - b[1]: one matrix-vector product and one comparison in place of a
+    two-column product, a bias add and an argmax.  It can disagree with the
+    argmax of the scores only where the two scores are within rounding of
+    each other; an exact tie gives label 0.
+    """
+
+    @abstractmethod
+    def _head(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(features, w, b) of a batch, with scores = features @ w.T + b."""
+
+    def scores_batch(self, xs: np.ndarray) -> np.ndarray:
+        features, w, b = self._head(xs)
+        return features @ w.T + b
+
+    def classify_batch(self, xs: np.ndarray) -> np.ndarray:
+        features, w, b = self._head(xs)
+        if len(w) == 2:
+            return (features @ (w[1] - w[0]) > b[0] - b[1]).astype(np.int64)
+        return np.argmax(features @ w.T + b, axis=1).astype(np.int64)
+
+
+class SoftmaxLinearModel(_AffineHeadModel):
     """Multinomial logistic regression: scores = W x + c."""
 
     def __init__(self, weights: np.ndarray, biases: np.ndarray):
@@ -94,8 +121,8 @@ class SoftmaxLinearModel(DifferentiableClassifier):
         self.biases = np.asarray(biases, dtype=np.float64)
         self.num_labels, self.dim = self.weights.shape
 
-    def scores_batch(self, xs: np.ndarray) -> np.ndarray:
-        return np.atleast_2d(xs) @ self.weights.T + self.biases
+    def _head(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return np.atleast_2d(xs), self.weights, self.biases
 
     def loss_input_gradients(self, xs: np.ndarray, label: int) -> np.ndarray:
         coeffs = _softmax(self.scores_batch(xs))
@@ -110,7 +137,7 @@ class SoftmaxLinearModel(DifferentiableClassifier):
         return loss
 
 
-class MlpModel(DifferentiableClassifier):
+class MlpModel(_AffineHeadModel):
     """One hidden tanh layer: scores = W2 tanh(W1 x + b1) + b2."""
 
     def __init__(self, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray, b2: np.ndarray):
@@ -126,8 +153,8 @@ class MlpModel(DifferentiableClassifier):
         h += self.b1
         return np.tanh(h, out=h)
 
-    def scores_batch(self, xs: np.ndarray) -> np.ndarray:
-        return self._hidden(xs) @ self.w2.T + self.b2
+    def _head(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self._hidden(xs), self.w2, self.b2
 
     def loss_input_gradients(self, xs: np.ndarray, label: int) -> np.ndarray:
         xs = np.atleast_2d(xs)

@@ -201,6 +201,8 @@ class TestInputValidation:
         ("attack", ["--records", "{preds}"]),
         ("report", ["--records", "{certs}", "--radii", "a:b:c"]),
         ("dataset", ["--kind", "two-gaussians", "--count", "1"]),
+        ("report", ["--records", "{certs}", "--radii", "3:0:0.5"]),  # stop below start
+        ("report", ["--records", "{certs}", "--radii", ","]),
     ])
     def test_bad_inputs_exit_2_before_writing(self, tmp_path, dataset_path,
                                               linear_model_path, command, args):
@@ -501,11 +503,13 @@ class TestReportCommand:
 
     @pytest.mark.parametrize("field,value", [("sigma", "0.0"), ("sigma", "NaN"),
                                              ("sigma", "Infinity"), ("n0", "0"),
-                                             ("n", "0"), ("alpha", "1.0")])
+                                             ("n", "0"), ("alpha", "1.0"),
+                                             ("sigma", "[0.5]")])
     def test_out_of_range_protocol_exits_2_naming_line(self, tmp_path, capsys, field,
                                                        value):
-        """Every record's sigma, n0, n and alpha must lie in SmoothingParams'
-        ranges; with sigma 0.0 in every record, report printed accuracies."""
+        """Every record's sigma, n0, n and alpha must be numbers in
+        SmoothingParams' ranges; with sigma 0.0 in every record, report printed
+        accuracies."""
         protocol = {"sigma": "0.5", "n0": "100", "n": "1000", "alpha": "0.001"}
         text = (DATA / "report_records.jsonl").read_text()
         old = f'"{field}": {protocol[field]},'
@@ -516,6 +520,32 @@ class TestReportCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert f"{records}:2:" in err and field in err
+
+    @pytest.mark.parametrize("command", ["report", "attack"])
+    @pytest.mark.parametrize("field,value", [
+        (None, "null"), (None, "5"), ("counts", "[1, 2]"), ("true_label", "null"),
+        ("radius", '{"a": 1}'), ("predicted_label", "0.5"), ("n", '"1000"')])
+    def test_malformed_record_exits_2_naming_line(self, tmp_path, capsys, dataset_path,
+                                                  linear_model_path, command, field, value):
+        """A line that is not a JSON object, or a field of the wrong type,
+        exited 1 with a bare Python error (or, for a string n, was converted)."""
+        lines = (DATA / "report_records.jsonl").read_text().splitlines()
+        if field is None:
+            lines[1] = value
+        else:
+            obj = json.loads(lines[1])
+            obj[field] = json.loads(value)
+            lines[1] = json.dumps(obj)
+        records = tmp_path / "records.jsonl"
+        records.write_text("\n".join(lines) + "\n")
+        args = {"report": ["--radii", "0,1"],
+                "attack": ["--data", dataset_path, "--model", linear_model_path,
+                           "--scale", "1.5", "--sigma", "0.5",
+                           "--out", str(tmp_path / "attacks.jsonl")]}
+        code = main([command, "--records", str(records), *args[command]])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{records}:2:" in err and (field or "JSON object") in err
 
     def test_infinite_radius_accepted(self, capsys):
         code = main(["report", "--records", str(DATA / "report_records.jsonl"),

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smoothcert.bounds import max_certifiable_radius
+from smoothcert.modelio import load_model
 from smoothcert.noise import BLOCK_DEVIATES, NoiseStream, block_rows
 from smoothcert.oracles import ConstantClassifier, LinearModel
 from smoothcert.smoothing import (ClassCounts, SmoothingParams, certify,
@@ -14,6 +16,7 @@ from smoothcert.smoothing import (ClassCounts, SmoothingParams, certify,
                                   project_counts, sample_under_noise)
 
 PHI_06 = 0.7257468822499265  # Phi(0.6), reference oracle
+DATA = Path(__file__).parent / "data"
 
 
 def counts_of(*values):
@@ -60,13 +63,16 @@ class TestSampleUnderNoise:
 
     def test_deterministic_across_batching_and_workers(self):
         """Identical counts for any batch size and parallelism degree, also at
-        d=784 (83-row stream blocks) and from start=100, certify's misaligned
-        estimation start."""
+        d=784 (83-row stream blocks), for a two-label MLP, whose classify
+        compares one score difference, and from start=100, certify's
+        misaligned estimation start."""
         rng = np.random.default_rng(5)
         cases = [(LinearModel([1.0, -0.5], 0.2), np.array([0.3, 0.1]), 5000,
                   [(1, 1), (7, 1), (5000, 1), (250, 4), (333, 8)]),
                  (LinearModel(rng.normal(size=784), 0.1), 0.01 * rng.normal(size=784), 1000,
-                  [(b, w) for b in (1, 83, 84, 1000, 5000) for w in (1, 3)])]
+                  [(b, w) for b in (1, 83, 84, 1000, 5000) for w in (1, 3)]),
+                 (load_model(DATA / "golden.model"), np.array([-0.2, 0.9]), 40_000,
+                  [(1, 1), (37, 2), (1000, 2), (32768, 1), (40_000, 3)])]
         for model, x, num, settings in cases:
             for start in (0, 100):
                 reference_counts = sample_under_noise(model, x, num, 0.7, NoiseStream(21),

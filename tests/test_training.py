@@ -184,11 +184,28 @@ class TestGradients:
 
 class TestModels:
     def test_classify_is_argmax_of_scores(self, separable):
+        """Two-label models decide by one score difference, which agrees with
+        the argmax of the scores on 1e5 noisy rows; an exact tie goes to
+        label 0, and three labels keep the argmax."""
         examples, features, _ = separable
-        model = train_with_noise(examples, TrainConfig(sigma_train=0.1, epochs=10,
-                                                       model_kind="mlp", seed=5))
-        scores = model.scores_batch(features[:50])
-        assert np.array_equal(model.classify_batch(features[:50]), np.argmax(scores, axis=1))
+        rng = np.random.default_rng(6)
+        rows = np.repeat(features, 100, axis=0) + rng.normal(size=(100_000, 2))
+        for kind in ("mlp", "logistic"):
+            model = train_with_noise(examples, TrainConfig(sigma_train=0.1, epochs=10,
+                                                           model_kind=kind, seed=5))
+            labels = model.classify_batch(rows)
+            assert labels.dtype == np.int64
+            assert np.array_equal(labels, np.argmax(model.scores_batch(rows), axis=1))
+            assert 0.2 < labels.mean() < 0.8
+        w, v = rng.normal(size=(4, 2)), rng.normal(size=4)
+        tied = [MlpModel(w, rng.normal(size=4), np.stack([v, v]), np.full(2, 0.3)),
+                SoftmaxLinearModel(np.stack([v[:2], v[:2]]), np.full(2, -1.0))]
+        for model in tied:
+            assert not model.classify_batch(rows).any()
+        three = MlpModel(w, rng.normal(size=4), rng.normal(size=(3, 4)), rng.normal(size=3))
+        labels = three.classify_batch(rows)
+        assert labels.dtype == np.int64 and set(np.unique(labels)) == {0, 1, 2}
+        assert np.array_equal(labels, np.argmax(three.scores_batch(rows), axis=1))
 
     def test_softmax_linear_shapes(self):
         model = SoftmaxLinearModel(np.eye(3), np.zeros(3))
