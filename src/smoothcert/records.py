@@ -7,8 +7,9 @@ and their order are frozen:
     example_index, true_label, outcome ("certified" | "abstain"),
     predicted_label (null when no guess exists), radius (null when
     abstaining; infinity encoded as the string "inf"), pa_lower (null when
-    abstaining), counts (optional {label: count} object), sigma, n0, n,
-    alpha, seed, wall_time_ms
+    abstaining), counts (optional {label: count} object over the n
+    estimation draws, labels in plain decimal, zero counts left out), sigma,
+    n0, n, alpha, seed, wall_time_ms
 
 Prediction and attack files name their kind in the header,
 {"schema_version": 1, "kind": "prediction"} or {..., "kind": "attack"}, and
@@ -65,6 +66,12 @@ class CertificationRecord:
 
     def __post_init__(self):
         SmoothingParams(sigma=self.sigma, n0=self.n0, n=self.n, alpha=self.alpha)
+        for name in ("example_index", "true_label", "predicted_label"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
+        if self.counts is not None and any(c < 0 or v < 0 for c, v in self.counts.items()):
+            raise ValueError(f"counts must map labels >= 0 to counts >= 0, got {self.counts}")
         if self.outcome not in ("certified", "abstain"):
             raise ValueError("outcome must be 'certified' or 'abstain'")
         if self.outcome == "certified":
@@ -129,6 +136,14 @@ def _number(value, name: str, kind=float, nullable: bool = False):
     return kind(value)
 
 
+def _count_key(key: str) -> int:
+    """A counts key as its label; only the decimal a writer emits is accepted,
+    so "00" or " 0" cannot alias "0"."""
+    if not (key.isascii() and key.isdigit() and str(int(key)) == key):
+        raise ValueError(f"counts key {json.dumps(key)} must be a label 0, 1, 2, ...")
+    return int(key)
+
+
 def _record_from_object(obj: dict) -> CertificationRecord:
     missing = [f for f in _REQUIRED_FIELDS if f not in obj]
     if missing:
@@ -137,7 +152,11 @@ def _record_from_object(obj: dict) -> CertificationRecord:
     if counts is not None:
         if not isinstance(counts, dict):
             raise ValueError(f"counts must be an object or null, got {json.dumps(counts)}")
-        counts = {int(k): _number(v, f"counts[{k!r}]", int) for k, v in counts.items()}
+        counts = {_count_key(k): _number(v, f"counts[{k!r}]", int) for k, v in counts.items()}
+        # certify stores the n estimation counts, so any other total means a
+        # count was lost or aliased
+        if sum(counts.values()) != _number(obj["n"], "n", int):
+            raise ValueError(f"counts sum to {sum(counts.values())}, not n = {obj['n']}")
     radius = obj["radius"]
     return CertificationRecord(
         example_index=_number(obj["example_index"], "example_index", int),

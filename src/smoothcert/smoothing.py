@@ -57,7 +57,11 @@ class DifferentiableClassifier(BaseClassifier):
     which np.argmax provides.  A two-label model may instead compare its one
     score difference with zero: that agrees with the argmax except where the
     two scores are within rounding of each other, and an exact tie gives
-    label 0.
+    label 0.  The trained two-label MLP first computes that difference in
+    float32 and sends every row within a rounding-error band of zero to the
+    float64 comparison, so its labels are the float64 labels; it caches
+    float32 copies of its weights, which therefore must not be changed in
+    place except by training.
     """
 
     @abstractmethod

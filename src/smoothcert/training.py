@@ -90,27 +90,48 @@ def _loss_and_coeffs(scores: np.ndarray, labels: np.ndarray) -> tuple[float, np.
 class _AffineHeadModel(DifferentiableClassifier):
     """A trained model whose scores are an affine map of its last features.
 
-    Both kinds decide their labels here.  With two labels, label 1 is taken
-    exactly where the score difference features @ (w[1] - w[0]) exceeds
-    b[0] - b[1]: one matrix-vector product and one comparison in place of a
-    two-column product, a bias add and an argmax.  It can disagree with the
-    argmax of the scores only where the two scores are within rounding of
-    each other; an exact tie gives label 0.
+    Both kinds decide their labels here, in float64 in _classify64.  With two
+    labels, label 1 is taken exactly where the score difference
+    features @ (w[1] - w[0]) exceeds b[0] - b[1]: one matrix-vector product
+    and one comparison in place of a two-column product, a bias add and an
+    argmax.  It can disagree with the argmax of the scores only where the two
+    scores are within rounding of each other; an exact tie gives label 0.
+
+    A subclass may put a cheaper screen in front (_screen): it labels the
+    rows whose label it can prove equal to _classify64's and leaves the rest
+    to _classify64, so every label is the float64 label.  The screen caches
+    values derived from the weights, so the weights must not be changed in
+    place except by training (_step).
     """
 
     @abstractmethod
     def _head(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(features, w, b) of a batch, with scores = features @ w.T + b."""
 
+    def _screen(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+        """(labels, undecided rows) of a 2-D batch, or None to decide every
+        row in _classify64."""
+        return None
+
     def scores_batch(self, xs: np.ndarray) -> np.ndarray:
         features, w, b = self._head(xs)
         return features @ w.T + b
 
-    def classify_batch(self, xs: np.ndarray) -> np.ndarray:
+    def _classify64(self, xs: np.ndarray) -> np.ndarray:
         features, w, b = self._head(xs)
         if len(w) == 2:
             return (features @ (w[1] - w[0]) > b[0] - b[1]).astype(np.int64)
         return np.argmax(features @ w.T + b, axis=1).astype(np.int64)
+
+    def classify_batch(self, xs: np.ndarray) -> np.ndarray:
+        xs = np.atleast_2d(xs)
+        screened = self._screen(xs)
+        if screened is None:
+            return self._classify64(xs)
+        labels, undecided = screened
+        if undecided.any():
+            labels[undecided] = self._classify64(xs[undecided])
+        return labels
 
 
 class SoftmaxLinearModel(_AffineHeadModel):
@@ -138,7 +159,22 @@ class SoftmaxLinearModel(_AffineHeadModel):
 
 
 class MlpModel(_AffineHeadModel):
-    """One hidden tanh layer: scores = W2 tanh(W1 x + b1) + b2."""
+    """One hidden tanh layer: scores = W2 tanh(W1 x + b1) + b2.
+
+    With two labels, classify_batch first screens the batch in float32.  It
+    computes each row's margin h @ v - c, with h = tanh(W1 x + b1),
+    v = w2[1] - w2[0] and c = b2[0] - b2[1], and compares it with a
+    first-order bound on its distance from the float64 margin; with
+    u = 2^-24, d inputs and k hidden units,
+
+        band = 2 [(d+4) u |x| @ (|W1|^T |v|) + (d+4) u |v| @ |b1|
+                  + (k+12) u sum|v| + 4 u |c|] + 1e-12
+
+    plus 2^-149 terms for float32 underflow.  The (k+12) u sum|v| term also
+    covers float32 tanh, whose absolute error is about u.  A row whose
+    margin exceeds its band in magnitude takes margin > 0; the others, and
+    rows whose margin or band is not finite, take the float64 decision.
+    """
 
     def __init__(self, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray, b2: np.ndarray):
         self.w1 = np.asarray(w1, dtype=np.float64)
@@ -147,6 +183,7 @@ class MlpModel(_AffineHeadModel):
         self.b2 = np.asarray(b2, dtype=np.float64)
         self.num_labels, self.hidden_width = self.w2.shape
         self.dim = self.w1.shape[1]
+        self._screen32 = None
 
     def _hidden(self, xs: np.ndarray) -> np.ndarray:
         h = np.atleast_2d(xs) @ self.w1.T
@@ -155,6 +192,50 @@ class MlpModel(_AffineHeadModel):
 
     def _head(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self._hidden(xs), self.w2, self.b2
+
+    def _screen_params(self) -> tuple:
+        """float32 W1^T, b1, v and c, and the band's per-input slope and
+        floor; built on first use.  Two threads may both build it, to the
+        same values."""
+        if self._screen32 is None:
+            u, tiny = 2.0 ** -24, 2.0 ** -149
+            d, k = self.dim, self.hidden_width
+            v = self.w2[1] - self.w2[0]
+            c = self.b2[0] - self.b2[1]
+            abs_v = np.abs(v)
+            reach = abs_v @ np.abs(self.w1)
+            slope = 2.0 * (d + 4) * u * reach + tiny * abs_v.sum()
+            floor = (2.0 * ((d + 4) * u * (abs_v @ np.abs(self.b1))
+                            + (k + 12) * u * abs_v.sum() + 4.0 * u * abs(c)) + 1e-12
+                     + tiny * (reach.sum() + (d + 2) * abs_v.sum() + k + 1))
+            with np.errstate(over="ignore"):
+                self._screen32 = (np.ascontiguousarray(self.w1.T, dtype=np.float32),
+                                  self.b1.astype(np.float32), v.astype(np.float32),
+                                  np.float32(c), slope.astype(np.float32), np.float32(floor))
+        return self._screen32
+
+    def _margin32(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """float32 margins of a 2-D batch of a two-label model, and their bands."""
+        w1t, b1, v, c, slope, floor = self._screen_params()
+        # a row that overflows float32 gets an infinite or NaN margin or band
+        with np.errstate(over="ignore", invalid="ignore"):
+            x32 = xs.astype(np.float32)
+            h = x32 @ w1t
+            h += b1
+            np.tanh(h, out=h)
+            margin = h @ v
+            margin -= c
+            band = np.abs(x32, out=x32) @ slope
+            band += floor
+        return margin, band
+
+    def _screen(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+        if self.num_labels != 2:
+            return None
+        margin, band = self._margin32(xs)
+        decided = np.abs(margin) > band
+        decided &= np.isfinite(margin)
+        return (margin > 0.0).astype(np.int64), ~decided
 
     def loss_input_gradients(self, xs: np.ndarray, label: int) -> np.ndarray:
         xs = np.atleast_2d(xs)
@@ -177,6 +258,7 @@ class MlpModel(_AffineHeadModel):
         self.b2 -= lr * coeffs.sum(axis=0)
         self.w1 -= lr * grad_h.T @ xs
         self.b1 -= lr * grad_h.sum(axis=0)
+        self._screen32 = None
         return loss
 
 

@@ -524,11 +524,18 @@ class TestReportCommand:
     @pytest.mark.parametrize("command", ["report", "attack"])
     @pytest.mark.parametrize("field,value", [
         (None, "null"), (None, "5"), ("counts", "[1, 2]"), ("true_label", "null"),
-        ("radius", '{"a": 1}'), ("predicted_label", "0.5"), ("n", '"1000"')])
+        ("radius", '{"a": 1}'), ("predicted_label", "0.5"), ("n", '"1000"'),
+        ("example_index", "-5"), ("true_label", "-1"), ("predicted_label", "-1"),
+        ("counts", '{"0": 990, "-1": 10}'), ("counts", '{"0": 990, "00": 10}'),
+        ("counts", '{"0": 990, " 1": 10}'), ("counts", '{"0": 1010, "1": -10}'),
+        ("counts", '{"0": 990, "1": 9}')])
     def test_malformed_record_exits_2_naming_line(self, tmp_path, capsys, dataset_path,
                                                   linear_model_path, command, field, value):
         """A line that is not a JSON object, or a field of the wrong type,
-        exited 1 with a bare Python error (or, for a string n, was converted)."""
+        exited 1 with a bare Python error (or, for a string n, was converted).
+        A negative index or label, a counts key other than a label's plain
+        decimal, and counts that do not sum to n were read and reported with
+        exit 0: "00" aliased "0" and dropped its 990."""
         lines = (DATA / "report_records.jsonl").read_text().splitlines()
         if field is None:
             lines[1] = value

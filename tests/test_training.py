@@ -1,8 +1,12 @@
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import reference
 from smoothcert.datasets import two_gaussians
+from smoothcert.modelio import load_model
 from smoothcert.noise import NoiseStream
 from smoothcert.oracles import LinearModel
 from smoothcert.smoothing import SmoothingParams, certify
@@ -211,3 +215,123 @@ class TestModels:
         model = SoftmaxLinearModel(np.eye(3), np.zeros(3))
         assert model.scores_batch(np.eye(3)).shape == (3, 3)
         assert model.classify([1.0, 0.0, 0.0]) == 0
+
+
+def random_mlp(dim, seed, width=32):
+    """A random two-label MLP whose boundary splits N(0, I) in half."""
+    rng = np.random.default_rng(seed)
+    w1, b1 = rng.normal(size=(width, dim)) / np.sqrt(dim), rng.normal(size=width)
+    w2 = rng.normal(size=(2, width)) / np.sqrt(width)
+    unbiased = MlpModel(w1, b1, w2, np.zeros(2))
+    offset = np.median(float64_margin(unbiased, rng.normal(size=(10_000, dim))))
+    return MlpModel(w1, b1, w2, np.array([offset, 0.0]))
+
+
+@pytest.fixture(scope="module", params=["walkthrough", "golden", "d2", "d10", "d784"])
+def two_label_mlp(request):
+    """(model, centers, sigma): a two-label MLP and where to sample around it."""
+    if request.param == "walkthrough":
+        features, labels = two_gaussians(1000, center=1.2, std=0.15, std1=0.9, seed=7)
+        model = train_with_noise([LabeledExample(x, int(c)) for x, c in zip(features, labels)],
+                                 TrainConfig(sigma_train=0.5, epochs=400, learning_rate=1.0,
+                                             model_kind="mlp", hidden_width=32))
+        centers, _ = two_gaussians(200, center=1.2, std=0.15, std1=0.9, seed=8)
+        return model, centers, 0.5
+    if request.param == "golden":
+        centers = np.random.default_rng(1).normal(size=(50, 2))
+        return load_model(Path(__file__).parent / "data" / "golden.model"), centers, 0.5
+    dim = int(request.param[1:])
+    return random_mlp(dim, seed=dim), np.zeros((1, dim)), 1.0
+
+
+def noisy_batches(centers, sigma, seed, batches=1000, rows=1000):
+    """batches x rows noisy copies of the centers, one batch at a time.  Row i
+    of batch j is center + sigma (a_i + b_j) / sqrt(2), from two small tables
+    of standard normals, which keeps d = 784 cheap."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(rows, centers.shape[1])) * (sigma / np.sqrt(2.0))
+    b = rng.normal(size=(batches, centers.shape[1])) * (sigma / np.sqrt(2.0))
+    for j in range(batches):
+        yield centers[j % len(centers)] + b[j] + a
+
+
+def float64_margin(model, xs):
+    w, b = model.w2, model.b2
+    return model._hidden(xs) @ (w[1] - w[0]) - (b[0] - b[1])
+
+
+class TestFloat32Screen:
+    """Two-label MLPs label rows from a float32 margin and send every row its
+    error band cannot decide to the float64 path; every label must equal
+    the float64 label."""
+
+    def test_labels_equal_float64_on_a_million_noisy_rows(self, two_label_mlp):
+        model, centers, sigma = two_label_mlp
+        ones = 0
+        for xs in noisy_batches(centers, sigma, seed=model.dim):
+            labels = model.classify_batch(xs)
+            assert labels.dtype == np.int64
+            assert np.array_equal(labels, model._classify64(xs))
+            ones += int(labels.sum())
+        assert 0.05 < ones / 1e6 < 0.95
+
+    def test_rows_at_the_boundary_take_the_fallback(self, two_label_mlp):
+        """Bisection along 1000 lines through the boundary places rows within
+        1e-9 of it, on both sides; no float32 margin can decide them."""
+        model, centers, sigma = two_label_mlp
+        xs = next(noisy_batches(centers, 3.0 * sigma, seed=5, batches=1, rows=4000))
+        labels = model._classify64(xs)
+        p, q = xs[labels == 0][:1000], xs[labels == 1][:1000]
+        count = min(len(p), len(q))
+        assert count >= 200
+        p, q = p[:count], q[:count]
+        lo, hi = np.zeros((count, 1)), np.ones((count, 1))
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            ones = model._classify64(p + mid * (q - p))[:, None] == 1
+            hi, lo = np.where(ones, mid, hi), np.where(ones, lo, mid)
+        step = (q - p) / np.linalg.norm(q - p, axis=1, keepdims=True)
+        rows = np.concatenate([p + lo * (q - p) + off * step
+                               for off in np.linspace(-1e-9, 1e-9, 9)])
+        expected = model._classify64(rows)
+        assert 0 < expected.mean() < 1
+        _, undecided = model._screen(rows)
+        assert undecided.all()
+        assert np.array_equal(model.classify_batch(rows), expected)
+
+    def test_float32_overflow_takes_the_fallback_silently(self, two_label_mlp):
+        model, _, _ = two_label_mlp
+        rows = np.zeros((6, model.dim))
+        rows[:, :2] = [[1e39, -1e39], [-1e39, 1e39], [3.5e38, 0.0], [1e300, 1e-300],
+                       [1e-45, -1e-320], [-1e-39, 1e-40]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            labels = model.classify_batch(rows)
+            assert np.array_equal(labels, model._classify64(rows))
+            _, undecided = model._screen(rows)
+        assert undecided[:4].all()
+
+    def test_band_bounds_the_float32_error(self, two_label_mlp):
+        """The safe side: |margin32 - margin64| <= band on inputs scaled
+        1e-3 to 1e6, and float32 tanh within the u its bound allows."""
+        model, _, _ = two_label_mlp
+        rng = np.random.default_rng(11)
+        for scale in np.logspace(-3, 6, 19):
+            xs = scale * rng.normal(size=(2000, model.dim))
+            margin, band = model._margin32(xs)
+            assert np.all(np.abs(margin - float64_margin(model, xs)) <= band)
+        z = np.linspace(-12.0, 12.0, 2_000_001, dtype=np.float32)
+        assert np.max(np.abs(np.tanh(z) - np.tanh(z.astype(np.float64)))) <= 2.0 * 2.0 ** -24
+
+    def test_training_drops_the_float32_weights(self, separable):
+        examples, features, labels = separable
+        model = train_with_noise(examples, TrainConfig(sigma_train=0.5, epochs=5,
+                                                       model_kind="mlp", seed=1))
+        rows = np.repeat(features, 20, axis=0)
+        rows += np.random.default_rng(2).normal(size=rows.shape)
+        before = model.classify_batch(rows)
+        assert np.array_equal(before, model._classify64(rows))
+        model._step(features, 1 - labels, 5.0)
+        after = model.classify_batch(rows)
+        assert not np.array_equal(after, before)
+        assert np.array_equal(after, model._classify64(rows))
