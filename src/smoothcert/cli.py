@@ -8,7 +8,7 @@ from records).
 
 Exit statuses: 0 success, 1 runtime failure, 2 usage or input error.
 Flags override config-file values, which override the built-in defaults
-(n0 = 100, n = 100000, alpha = 0.001).
+(SmoothingParams' n0, n and alpha); a seed outside [0, 2^64) exits 2.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,14 +27,14 @@ from . import bounds as bounds_mod
 from .attack import AttackParams, pgd_attack
 from .datasets import GENERATORS, read_csv, write_csv
 from .modelio import load_model, save_model
-from .noise import NoiseStream
+from .noise import NoiseStream, is_seed
 from .records import CertificationRecord, RecordWriter, certification_fields, read_records
 from .report import accuracy_curve, projected_curve, render_json, render_tsv
-from .smoothing import SmoothingParams, certify, predict
+from .smoothing import DEFAULT_BATCH_SIZE, SmoothingParams, certify, predict
 from .training import LabeledExample, TrainConfig, train_with_noise
 
-_PROTOCOL_DEFAULTS = {"sigma": None, "n0": 100, "n": 100_000, "alpha": 0.001,
-                      "seed": 0, "parallelism": 1, "batch_size": 1000}
+_PROTOCOL_DEFAULTS = {f.name: f.default for f in fields(SmoothingParams)} | {
+    "sigma": None, "seed": 0, "parallelism": 1, "batch_size": DEFAULT_BATCH_SIZE}
 
 
 class UsageError(Exception):
@@ -86,17 +86,32 @@ def _option(args, config: dict, key: str, kind, required: bool = False):
         raise wrong
 
 
+def _checked(make, *args, **kwargs):
+    """make(*args, **kwargs), with a ValueError turned into a usage error."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc))
+
+
+def _seed(args, config: dict, last_index: int = 0) -> int:
+    """The resolved seed; noise.is_seed must hold for it and for seed + last_index."""
+    seed = _option(args, config, "seed", int)
+    if not is_seed(seed):
+        raise UsageError(f"--seed must be an integer in [0, 2^64), got {seed}")
+    if not is_seed(seed + last_index):
+        raise UsageError(f"--seed {seed} + last attacked index {last_index} is not below 2^64")
+    return seed
+
+
 def _protocol(args, config) -> tuple[SmoothingParams, int, int, int]:
     """Smoothing parameters, seed, parallelism and batch size, checked up front."""
     sigma = _option(args, config, "sigma", float, required=True)
     alpha = _option(args, config, "alpha", float)
-    n0, n, seed, parallelism, batch_size = (
-        _option(args, config, key, int)
-        for key in ("n0", "n", "seed", "parallelism", "batch_size"))
-    try:
-        params = SmoothingParams(sigma=sigma, n0=n0, n=n, alpha=alpha)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    seed = _seed(args, config)
+    n0, n, parallelism, batch_size = (
+        _option(args, config, key, int) for key in ("n0", "n", "parallelism", "batch_size"))
+    params = _checked(SmoothingParams, sigma=sigma, n0=n0, n=n, alpha=alpha)
     if parallelism < 1:
         raise UsageError("--parallelism must be >= 1")
     if batch_size < 1:
@@ -126,15 +141,15 @@ def _open_inputs(args):
 
 def _add_sampling_flags(sub, with_n0: bool = True):
     sub.add_argument("--sigma", type=float, help="noise standard deviation (input units)")
-    if with_n0:
-        sub.add_argument("--n0", type=int, help="selection samples (default 100)")
-    sub.add_argument("--n", type=int, help="estimation samples (default 100000)")
-    sub.add_argument("--alpha", type=float, help="failure probability (default 0.001)")
-    sub.add_argument("--seed", type=int, help="run seed (default 0)")
-    sub.add_argument("--parallelism", type=int, help="sampling worker count (default 1)")
-    sub.add_argument("--batch-size", dest="batch_size", type=int,
-                     help="most rows per base-classifier call (default 1000); each "
-                     "worker samples in blocks of at most 2^16 deviates")
+    flags = [("n0", int, "selection samples"), ("n", int, "estimation samples"),
+             ("alpha", float, "failure probability"), ("seed", int, "run seed"),
+             ("parallelism", int, "sampling worker count"),
+             ("batch_size", int, "most rows per base-classifier call")]
+    for key, kind, text in flags if with_n0 else flags[1:]:
+        note = "; each worker samples in blocks of at most 2^16 deviates" \
+            if key == "batch_size" else ""
+        sub.add_argument("--" + key.replace("_", "-"), dest=key, type=kind,
+                         help=f"{text} (default {_PROTOCOL_DEFAULTS[key]}){note}")
 
 
 def _run_examples(args, decide, record, kind: str, verb: str) -> int:
@@ -188,10 +203,7 @@ def _run_predict(args) -> int:
 def _run_bounds(args) -> int:
     pa = args.pa
     pb = args.pb if args.pb is not None else 1.0 - pa
-    try:
-        inputs = bounds_mod.BoundInputs(pa_lower=pa, pb_upper=pb, sigma=args.sigma)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    inputs = _checked(bounds_mod.BoundInputs, pa_lower=pa, pb_upper=pb, sigma=args.sigma)
     kinds = {"tight": bounds_mod.tight_radius, "dp": bounds_mod.dp_radius,
              "renyi": bounds_mod.renyi_radius}
     selected = kinds if args.kind == "all" else {args.kind: kinds[args.kind]}
@@ -203,15 +215,11 @@ def _run_bounds(args) -> int:
 
 
 def _run_train(args) -> int:
-    seed = _option(args, _load_config(args.config), "seed", int)
+    seed = _seed(args, _load_config(args.config))
     features, labels = _read_input(read_csv, args.data, "dataset")
-    try:
-        cfg = TrainConfig(sigma_train=args.sigma_train, epochs=args.epochs,
-                          learning_rate=args.lr, batch_size=args.train_batch_size,
-                          seed=seed, model_kind=args.model_kind,
-                          hidden_width=args.hidden_width)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    cfg = _checked(TrainConfig, sigma_train=args.sigma_train, epochs=args.epochs,
+                   learning_rate=args.lr, batch_size=args.train_batch_size, seed=seed,
+                   model_kind=args.model_kind, hidden_width=args.hidden_width)
     examples = [LabeledExample(x, int(y)) for x, y in zip(features, labels)]
     model = train_with_noise(examples, cfg)
     save_model(model, args.out)
@@ -225,7 +233,6 @@ def _run_train(args) -> int:
 def _run_attack(args) -> int:
     config = _load_config(args.config)
     sigma = _option(args, config, "sigma", float, required=True)
-    seed = _option(args, config, "seed", int)
     features, labels, model = _open_inputs(args)
     if args.records is not None:
         if not args.scale > 0.0:
@@ -236,14 +243,11 @@ def _run_attack(args) -> int:
         radii = dict.fromkeys(range(len(labels)), args.radius)
     else:
         raise UsageError("attack needs --radius or --records with --scale")
-    try:
-        # every option is checked before the output opens; each example then
-        # gets its own radius and seed
-        params = AttackParams(radius=min(radii.values(), default=1.0), sigma=sigma,
-                              k=args.k, steps=args.steps, step_size=args.step_size,
-                              seed=seed)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    seed = _seed(args, config, last_index=max(radii.keys() & range(len(labels)), default=0))
+    # every option is checked before the output opens; each example then gets
+    # its own radius and seed
+    params = _checked(AttackParams, radius=min(radii.values(), default=1.0), sigma=sigma,
+                      k=args.k, steps=args.steps, step_size=args.step_size, seed=seed)
 
     n_success = n_run = 0
     with RecordWriter(args.out, kind="attack") as writer:
@@ -288,13 +292,10 @@ def _run_report(args) -> int:
     if not records:
         raise UsageError(f"{args.records}: no records")
     radii = _parse_radii(args.radii)
-    try:
-        if args.project_n is not None:
-            rows = projected_curve(records, args.project_n, radii, rho=args.rho)
-        else:
-            rows = accuracy_curve(records, radii, rho=args.rho)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    if args.project_n is not None:
+        rows = _checked(projected_curve, records, args.project_n, radii, rho=args.rho)
+    else:
+        rows = _checked(accuracy_curve, records, radii, rho=args.rho)
     text = render_json(rows) if args.format == "json" else render_tsv(rows)
     if args.out is None:
         sys.stdout.write(text)
@@ -305,15 +306,12 @@ def _run_report(args) -> int:
 
 def _run_dataset(args) -> int:
     generator = GENERATORS[args.kind]
-    kwargs = {"center": args.center, "std": args.std, "seed": args.seed}
+    kwargs = {"center": args.center, "std": args.std, "seed": _seed(args, {})}
     if args.kind == "two-gaussians":
         kwargs["std1"] = args.std1
     elif args.std1 is not None:
         raise UsageError("--std1 only applies to two-gaussians")
-    try:
-        features, labels = generator(args.count, **kwargs)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    features, labels = _checked(generator, args.count, **kwargs)
     write_csv(args.out, features, labels)
     print(f"wrote {len(labels)} examples to {args.out}", file=sys.stderr)
     return 0

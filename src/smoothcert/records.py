@@ -205,6 +205,15 @@ class RecordWriter:
         return False
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict; a repeated key is an error, where json keeps its last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        repeated = next(key for i, (key, _) in enumerate(pairs) if key in dict(pairs[:i]))
+        raise ValueError(f"repeated key {json.dumps(repeated)} in a JSON object")
+    return obj
+
+
 def read_records(path) -> list[CertificationRecord]:
     """All records of a certification JSONL file; errors name the file and line."""
     records = []
@@ -214,7 +223,7 @@ def read_records(path) -> list[CertificationRecord]:
             if not line:
                 continue
             try:
-                obj = json.loads(line)
+                obj = json.loads(line, object_pairs_hook=_unique_keys)
                 if not isinstance(obj, dict):
                     raise ValueError(f"a record line must be a JSON object, got {line}")
                 if "schema_version" not in obj:

@@ -157,7 +157,7 @@ def sample_under_noise(f: BaseClassifier, x: np.ndarray, num: int, sigma: float,
     """Class counts of f over num draws of x + sigma * N(0, I).
 
     Noise for draw i comes from stream counter (example_id, start + i), so the
-    result is a pure function of (run_seed, example_id, start, num) no matter
+    result is a pure function of (noise.key, example_id, start, num) no matter
     how the draws are batched or scheduled across workers.  Each worker takes
     one of the stream's blocks at a time (spans start at start, then at every
     block edge), so no deviate is generated twice; batch_size is the most rows

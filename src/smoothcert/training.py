@@ -171,9 +171,11 @@ class MlpModel(_AffineHeadModel):
                   + (k+12) u sum|v| + 4 u |c|] + 1e-12
 
     plus 2^-149 terms for float32 underflow.  The (k+12) u sum|v| term also
-    covers float32 tanh, whose absolute error is about u.  A row whose
-    margin exceeds its band in magnitude takes margin > 0; the others, and
-    rows whose margin or band is not finite, take the float64 decision.
+    covers float32 tanh, whose largest absolute error was 6.0e-8 on numpy's
+    AVX2 and AVX-512 kernels and 1.02e-7 (1.7 u) on its X86_V2 baseline; the
+    largest |margin32 - margin64| / band seen was 0.024.  A row whose margin
+    exceeds its band in magnitude takes margin > 0; the others, and rows
+    whose margin or band is not finite, take the float64 decision.
     """
 
     def __init__(self, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray, b2: np.ndarray):

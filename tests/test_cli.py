@@ -291,6 +291,58 @@ class TestInputValidation:
         err = capsys.readouterr().err
         assert "alpah" in err and "nn" in err
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    @pytest.mark.parametrize("command", ["certify", "predict", "train", "attack", "dataset"])
+    def test_seeds_outside_range_exit_2_naming_seed(self, tmp_path, dataset_path,
+                                                    linear_model_path, capsys, command, seed):
+        """A seed is an integer in [0, 2^64).  certify, predict and attack
+        folded 2^64 to seed 0 and -1 to 2^64 - 1, train --seed -1 exited 1 and
+        dataset --seed -1 exited 2 with numpy's message."""
+        model = ["--data", dataset_path, "--model", linear_model_path, "--sigma", "0.5"]
+        inputs = {"certify": [*model, "--n0", "20", "--n", "100"],
+                  "predict": [*model, "--n", "100"],
+                  "train": ["--data", dataset_path],
+                  "attack": [*model, "--radius", "0.5"],
+                  "dataset": ["--kind", "two-gaussians", "--count", "8"]}
+        out = tmp_path / "out"
+        code = main([command, *inputs[command], "--seed", seed, "--out", str(out)])
+        assert code == 2
+        assert f"--seed must be an integer in [0, 2^64), got {seed}" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["certify", "predict", "train", "attack"])
+    def test_config_seed_outside_range_exits_2(self, tmp_path, dataset_path,
+                                               linear_model_path, capsys, command):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"sigma": 0.5, "n0": 20, "n": 100, "seed": 2**64}))
+        inputs = {"train": ["--data", dataset_path],
+                  "attack": ["--data", dataset_path, "--model", linear_model_path,
+                             "--radius", "0.5"]}
+        out = tmp_path / "out"
+        code = main([command, *inputs.get(command, inputs["attack"][:4]),
+                     "--config", str(config), "--out", str(out)])
+        assert code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_attack_seed_plus_last_index_must_stay_below_2_64(self, tmp_path, dataset_path,
+                                                             linear_model_path, capsys):
+        """attack seeds example i with seed + i: at seed 2^64 - 1 the second
+        example's seed was folded to 0.  One example at that seed is fine."""
+        one = tmp_path / "one.csv"
+        one.write_text("\n".join(Path(dataset_path).read_text().splitlines()[:2]) + "\n")
+        last = str(2**64 - 1)
+        args = ["--model", linear_model_path, "--radius", "0.5", "--sigma", "0.5",
+                "--k", "20", "--steps", "2", "--seed", last]
+        out = tmp_path / "attacks.jsonl"
+        assert main(["attack", "--data", dataset_path, *args, "--out", str(out)]) == 2
+        assert "--seed 18446744073709551615 + last attacked index 19 is not below 2^64" in \
+            capsys.readouterr().err
+        assert not out.exists()
+        assert main(["attack", "--data", str(one), *args, "--out", str(out)]) == 0
+        assert json.loads(out.read_text().splitlines()[1])["seed"] == 2**64 - 1
+
 
 class TestPredictCommand:
     def test_writes_prediction_records(self, tmp_path, dataset_path, linear_model_path):
@@ -528,21 +580,24 @@ class TestReportCommand:
         ("example_index", "-5"), ("true_label", "-1"), ("predicted_label", "-1"),
         ("counts", '{"0": 990, "-1": 10}'), ("counts", '{"0": 990, "00": 10}'),
         ("counts", '{"0": 990, " 1": 10}'), ("counts", '{"0": 1010, "1": -10}'),
-        ("counts", '{"0": 990, "1": 9}')])
+        ("counts", '{"0": 990, "1": 9}'), ("true_label", '7, "true_label": 0'),
+        ("counts", '{"0": 10, "1": 10, "0": 990}')])
     def test_malformed_record_exits_2_naming_line(self, tmp_path, capsys, dataset_path,
                                                   linear_model_path, command, field, value):
         """A line that is not a JSON object, or a field of the wrong type,
         exited 1 with a bare Python error (or, for a string n, was converted).
         A negative index or label, a counts key other than a label's plain
         decimal, and counts that do not sum to n were read and reported with
-        exit 0: "00" aliased "0" and dropped its 990."""
+        exit 0: "00" aliased "0" and dropped its 990.  A repeated key, at the
+        top level or inside counts, was read as its last value.  value is
+        spliced into the line as text, so it can repeat a key."""
         lines = (DATA / "report_records.jsonl").read_text().splitlines()
         if field is None:
             lines[1] = value
         else:
             obj = json.loads(lines[1])
-            obj[field] = json.loads(value)
-            lines[1] = json.dumps(obj)
+            obj[field] = "@"
+            lines[1] = json.dumps(obj).replace('"@"', value)
         records = tmp_path / "records.jsonl"
         records.write_text("\n".join(lines) + "\n")
         args = {"report": ["--radii", "0,1"],
@@ -552,7 +607,9 @@ class TestReportCommand:
         code = main([command, "--records", str(records), *args[command]])
         assert code == 2
         err = capsys.readouterr().err
-        assert f"{records}:2:" in err and (field or "JSON object") in err
+        named = {'7, "true_label": 0': 'repeated key "true_label"',
+                 '{"0": 10, "1": 10, "0": 990}': 'repeated key "0"'}
+        assert f"{records}:2:" in err and named.get(value, field or "JSON object") in err
 
     def test_infinite_radius_accepted(self, capsys):
         code = main(["report", "--records", str(DATA / "report_records.jsonl"),

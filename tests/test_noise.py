@@ -6,11 +6,12 @@ from scipy.stats import kstest
 from smoothcert.noise import NoiseStream, block_rows
 
 
-def reference_rows(run_seed, example_id, start, stop, dim):
-    """Rows [start, stop) cut from whole blocks made by plain numpy calls."""
+def reference_rows(key, example_id, start, stop, dim):
+    """Rows [start, stop) cut from whole blocks made by plain numpy calls;
+    key is (run_seed, *substream tags)."""
     rows = block_rows(dim)
     blocks = [np.random.Generator(np.random.SFC64(np.random.SeedSequence(
-                  np.array([run_seed, example_id, b], dtype=np.uint64).view(np.uint32))))
+                  np.array([*key, example_id, b], dtype=np.uint64).view(np.uint32))))
               .standard_normal((rows, dim))
               for b in range(start // rows, (stop - 1) // rows + 1)]
     offset = start // rows * rows
@@ -44,7 +45,7 @@ class TestNoiseStream:
         stream = NoiseStream(31)
         assert block_rows(784) == 83
         assert np.array_equal(stream.standard_normals(2, 50, 250, 784),
-                              reference_rows(31, 2, 50, 250, 784))
+                              reference_rows((31,), 2, 50, 250, 784))
 
     def test_slices_match_any_larger_request(self):
         """A slice equals the same rows of any larger request at fixed d,
@@ -94,16 +95,48 @@ class TestNoiseStream:
         assert abs(np.mean(z < 0.0) - 0.5) < 0.005
         assert np.all(np.isfinite(z))
 
-    def test_negative_and_large_seeds_accepted(self):
-        assert NoiseStream(-1).standard_normals(0, 0, 4, 1).shape == (4, 1)
-        assert NoiseStream(2**64 + 5).run_seed == 5
+    def test_seeds_outside_range_rejected(self):
+        """A seed is an integer in [0, 2^64); -1 and 2^64 + 5 were folded
+        modulo 2^64 into seeds 2^64 - 1 and 5."""
+        for seed in (-1, 2**64, 2**64 + 5, -2**64, True, 1.0, "3"):
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                NoiseStream(seed)
+        for seed in (0, 2**64 - 1, np.uint64(2**64 - 1)):
+            assert NoiseStream(seed).standard_normals(0, 0, 4, 1).shape == (4, 1)
 
     def test_substream_is_distinct(self):
+        """A substream's draws differ from its parent's at every example."""
         stream = NoiseStream(42)
         derived = stream.substream(1)
-        assert derived.run_seed != stream.run_seed
-        assert not np.array_equal(stream.standard_normals(0, 0, 16, 2),
-                                  derived.standard_normals(0, 0, 16, 2))
+        for example in range(4):
+            assert not np.array_equal(stream.standard_normals(example, 0, 16, 2),
+                                      derived.standard_normals(example, 0, 16, 2))
+
+    def test_substream_keys_extend_the_root_key(self):
+        """Substream tags extend the block key: the draws of seed 7's tag-3
+        substream, and of its tag-9 child, are the plain expression's blocks
+        keyed (7, 3, e, b) and (7, 3, 9, e, b)."""
+        child = NoiseStream(7).substream(3)
+        assert np.array_equal(child.standard_normals(2, 50, 250, 784),
+                              reference_rows((7, 3), 2, 50, 250, 784))
+        assert np.array_equal(child.substream(9).standard_normals(0, 0, 90, 784),
+                              reference_rows((7, 3, 9), 0, 0, 90, 784))
+
+    def test_substreams_differ_from_root_and_siblings(self):
+        """At the same (example, rows), across a block edge, the root, two
+        sibling substreams and a grandchild all draw differently; so do the
+        first blocks of a substream tagged 5 at example 1 and of the root at
+        example 5, keyed (3, 5, 1, 0) and (3, 5, 0)."""
+        root = NoiseStream(3)
+        streams = [root, root.substream(1), root.substream(2), root.substream(1).substream(2)]
+        rows = block_rows(784)
+        for example in (0, 5):
+            draws = [s.standard_normals(example, rows - 3, rows + 3, 784) for s in streams]
+            for i in range(len(draws)):
+                for j in range(i):
+                    assert not np.array_equal(draws[i], draws[j])
+        assert not np.array_equal(root.substream(5).standard_normals(1, 0, rows, 784),
+                                  root.standard_normals(5, 0, rows, 784))
 
     def test_bad_ranges_rejected(self):
         with pytest.raises(ValueError):
