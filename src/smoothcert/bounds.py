@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statfun import std_normal_cdf, std_normal_quantile
+from .statfun import std_normal_quantile
 
 _GRID_POINTS = 1024
 
@@ -73,28 +73,6 @@ def tight_radius_binary(pa_lower: float, sigma: float) -> float:
     if not sigma > 0.0:
         raise ValueError("sigma must be positive")
     return sigma * std_normal_quantile(pa_lower)
-
-
-def worst_case_top_prob(pa_lower: float, sigma: float, r: float) -> float:
-    """Minimal top-class probability at L2 offset r: Phi(Phi^-1(pa) - r/sigma).
-
-    This is attained by the halfspace classifier normal to the perturbation,
-    so it is the exact worst case over all classifiers consistent with pa.
-    """
-    if not 0.0 < pa_lower < 1.0:
-        raise ValueError("pa_lower must lie strictly in (0, 1)")
-    if not sigma > 0.0 or r < 0.0:
-        raise ValueError("need sigma > 0 and r >= 0")
-    return std_normal_cdf(std_normal_quantile(pa_lower) - r / sigma)
-
-
-def worst_case_runner_prob(pb_upper: float, sigma: float, r: float) -> float:
-    """Maximal runner-up probability at L2 offset r: Phi(Phi^-1(pb) + r/sigma)."""
-    if not 0.0 < pb_upper < 1.0:
-        raise ValueError("pb_upper must lie strictly in (0, 1)")
-    if not sigma > 0.0 or r < 0.0:
-        raise ValueError("need sigma > 0 and r >= 0")
-    return std_normal_cdf(std_normal_quantile(pb_upper) + r / sigma)
 
 
 def max_certifiable_radius(n: int, alpha: float, sigma: float) -> float:

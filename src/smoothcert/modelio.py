@@ -13,7 +13,7 @@ row-major order, one parameter per line.  Kinds:
 
 A file must hold exactly the parameters its header implies, all finite, and
 labels must be integers in range(labels).  The same format serves trained
-models and the analytic oracle classifiers.
+models and the fixed constant, linear and interval classifiers.
 """
 
 from __future__ import annotations

@@ -36,6 +36,7 @@ import json
 import math
 from dataclasses import dataclass
 
+from .noise import is_seed
 from .smoothing import SmoothingParams
 
 SCHEMA_VERSION = 1
@@ -48,7 +49,8 @@ _REQUIRED_FIELDS = ("example_index", "true_label", "outcome", "predicted_label",
 @dataclass(frozen=True)
 class CertificationRecord:
     """One certified or abstaining example; sigma, n0, n and alpha must lie in
-    SmoothingParams' ranges."""
+    SmoothingParams' ranges, the seed must obey the seed rule, and a certified
+    pa_lower must exceed 1/2, below which certification abstains."""
 
     example_index: int
     true_label: int
@@ -66,6 +68,8 @@ class CertificationRecord:
 
     def __post_init__(self):
         SmoothingParams(sigma=self.sigma, n0=self.n0, n=self.n, alpha=self.alpha)
+        if not is_seed(self.seed):
+            raise ValueError(f"seed must be an integer in [0, 2^64), got {self.seed}")
         for name in ("example_index", "true_label", "predicted_label"):
             value = getattr(self, name)
             if value is not None and value < 0:
@@ -80,8 +84,8 @@ class CertificationRecord:
             # NaN fails both comparisons
             if not self.radius >= 0.0:
                 raise ValueError(f"radius must be >= 0, got {self.radius}")
-            if not 0.0 <= self.pa_lower <= 1.0:
-                raise ValueError(f"pa_lower must be in [0, 1], got {self.pa_lower}")
+            if not 0.5 < self.pa_lower <= 1.0:
+                raise ValueError(f"a certified pa_lower must be in (1/2, 1], got {self.pa_lower}")
         elif self.radius is not None or self.pa_lower is not None:
             raise ValueError("abstaining records carry no radius or pa_lower")
 

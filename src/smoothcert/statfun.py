@@ -1,16 +1,16 @@
-"""Scalar statistical primitives: normal CDF/quantile and exact binomial tails.
+"""Scalar statistical primitives: the normal quantile and exact binomial tails.
 
 Everything downstream (certified radii, confidence bounds, abstention tests)
 reduces to these functions:
 
-* the normal CDF and quantile are scipy's ``ndtr`` and ``ndtri``;
+* the normal quantile is scipy's ``ndtri``;
 * the Clopper-Pearson lower bound is the beta quantile ``betaincinv``, rounded
   down until the binomial upper tail at the result is at most alpha, so
   floating-point error never puts the bound on the unsafe side;
 * the two-sided p-value of the abstention test is the binomial CDF as a
   regularized incomplete beta function, ``betainc``, rounded up.
 
-The normal CDF and quantile accept floats or numpy arrays and broadcast
+The normal quantile accepts floats or numpy arrays and broadcasts
 elementwise.
 """
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import betainc, betaincinv, ndtr, ndtri
+from scipy.special import betainc, betaincinv, ndtri
 
 # Relative margin below alpha that the Clopper-Pearson tail must reach, so the
 # stopping test does not rely on the last digits of betainc (measured relative
@@ -38,15 +38,6 @@ _PVALUE_MARGIN_PER_ROOT_N = 2e-14
 # betainc returns 0 for p-values up to 7.9e-254 (n = 1075, lo = 38, against
 # 40-digit sums); just above that it is accurate again.
 _PVALUE_FLOOR = 1e-250
-
-
-def std_normal_cdf(z):
-    """Standard normal CDF Phi(z) = P(Z <= z), scipy's ``ndtr``.
-
-    Saturates to 0/1 in the extreme tails instead of raising.
-    """
-    out = ndtr(np.asarray(z, dtype=np.float64))
-    return float(out) if out.ndim == 0 else out
 
 
 def std_normal_quantile(p):

@@ -1,7 +1,7 @@
 """Independent reference implementations used as test oracles.
 
-Nothing here imports from smoothcert's numerical paths: normal CDF/quantile
-come from mpmath (and scipy.stats.norm where machine precision suffices),
+Nothing here imports from smoothcert's numerical paths: the normal quantile
+comes from mpmath (and scipy.stats.norm where machine precision suffices),
 binomial quantities from exact big-integer rational arithmetic, and the 1-D
 bound maximizations from brute-force dense grids, and softmax loss input
 gradients from central differences of the loss.  Expected values
@@ -21,11 +21,6 @@ from scipy.special import logsumexp
 from scipy.stats import norm as scipy_norm
 
 mp.mp.dps = 40
-
-
-def normal_cdf(z: float) -> float:
-    """Standard normal CDF via mpmath's 40-digit erf."""
-    return float(mp.ncdf(mp.mpf(z)))
 
 
 def normal_quantile(p: float) -> float:

@@ -12,17 +12,16 @@ import numpy as np
 import pytest
 
 import reference
+from oracles import (avgpool_lift, breaking_perturbation, exact_interval_prob,
+                     exact_smoothed_prob, make_interval_counterexample, margin,
+                     true_robust_radius, worst_case_runner_prob, worst_case_top_prob)
 from smoothcert.attack import AttackParams, pgd_attack
 from smoothcert.bounds import (BoundInputs, dp_radius, max_certifiable_radius,
-                               renyi_radius, tight_radius, worst_case_runner_prob,
-                               worst_case_top_prob)
+                               renyi_radius, tight_radius)
 from smoothcert.cli import main as cli_main
 from smoothcert.datasets import two_gaussians, write_csv
 from smoothcert.noise import NoiseStream
-from smoothcert.oracles import (ConstantClassifier, LinearModel, avgpool_lift,
-                                breaking_perturbation, exact_interval_prob,
-                                exact_smoothed_prob, make_interval_counterexample,
-                                true_robust_radius)
+from smoothcert.oracles import ConstantClassifier, LinearModel
 from smoothcert.report import accuracy_curve, bernstein_lower_bound
 from smoothcert.records import CertificationRecord
 from smoothcert.smoothing import SmoothingParams, certify, predict
@@ -146,7 +145,7 @@ def test_criterion_07_linear_exactness():
     points = 0
     while points < 100:
         x = rng.normal(0.0, 1.5, size=2)
-        if abs(model.margin(x)) / (sigma * np.linalg.norm(model.w)) < 0.1:
+        if abs(margin(model, x)) / (sigma * np.linalg.norm(model.w)) < 0.1:
             continue
         outcome = predict(model, params, x, stream, example_id=points)
         if not outcome.abstained and outcome.label != model.classify(x):

@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
+from oracles import true_robust_radius
 from smoothcert.attack import AttackParams, AttackResult, pgd_attack, project_to_ball
 from smoothcert.datasets import two_gaussians
 from smoothcert.noise import NoiseStream
-from smoothcert.oracles import LinearModel, true_robust_radius
+from smoothcert.oracles import LinearModel
 from smoothcert.smoothing import DifferentiableClassifier, SmoothingParams, certify
 from smoothcert.training import LabeledExample, TrainConfig, train_with_noise
 

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import reference
+from oracles import worst_case_runner_prob, worst_case_top_prob
 from smoothcert.bounds import (BoundInputs, dp_radius, max_certifiable_radius,
-                               renyi_radius, tight_radius, tight_radius_binary,
-                               worst_case_runner_prob, worst_case_top_prob)
+                               renyi_radius, tight_radius, tight_radius_binary)
 
 PHI_1 = 0.8413447460685429        # Phi(1), reference oracle
 PHI_INV_08 = 0.8416212335729143   # Phi^-1(0.8), reference oracle

@@ -581,7 +581,8 @@ class TestReportCommand:
         ("counts", '{"0": 990, "-1": 10}'), ("counts", '{"0": 990, "00": 10}'),
         ("counts", '{"0": 990, " 1": 10}'), ("counts", '{"0": 1010, "1": -10}'),
         ("counts", '{"0": 990, "1": 9}'), ("true_label", '7, "true_label": 0'),
-        ("counts", '{"0": 10, "1": 10, "0": 990}')])
+        ("counts", '{"0": 10, "1": 10, "0": 990}'), ("seed", "-1"),
+        ("seed", "18446744073709551616"), ("pa_lower", "0.5")])
     def test_malformed_record_exits_2_naming_line(self, tmp_path, capsys, dataset_path,
                                                   linear_model_path, command, field, value):
         """A line that is not a JSON object, or a field of the wrong type,
@@ -630,7 +631,7 @@ class TestCertifyOracleSoundness:
         model_path = tmp_path / "m.model"
         save_model(model, model_path)
         from smoothcert.datasets import read_csv
-        from smoothcert.oracles import true_robust_radius
+        from oracles import true_robust_radius
         features, _ = read_csv(data)
         abstained = unsound = total = 0
         for seed in ("31", "32"):

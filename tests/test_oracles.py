@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 import reference
-from smoothcert.bounds import tight_radius, BoundInputs, worst_case_top_prob
+from oracles import (avgpool, avgpool_lift, breaking_perturbation, exact_interval_prob,
+                     exact_label0_prob, exact_smoothed_prob, make_interval_counterexample,
+                     make_worst_case, margin, true_robust_radius, worst_case_top_prob)
+from smoothcert.bounds import tight_radius, BoundInputs
 from smoothcert.noise import NoiseStream
-from smoothcert.oracles import (ConstantClassifier, IntervalClassifier, LinearModel,
-                                avgpool, avgpool_lift, breaking_perturbation,
-                                exact_interval_prob, exact_smoothed_prob,
-                                exact_worst_case_top_prob, make_interval_counterexample,
-                                make_worst_case, true_robust_radius)
+from smoothcert.oracles import ConstantClassifier, IntervalClassifier, LinearModel
 from smoothcert.smoothing import sample_under_noise
 
 PHI_06 = 0.7257468822499265   # Phi(0.6)
@@ -34,7 +33,7 @@ class TestLinearModel:
 class TestExactSmoothedProb:
     def test_boundary_is_half(self):
         model = LinearModel([1.0, 0.0], -0.6)
-        assert model.margin([0.6, 0.0]) == 0.0
+        assert margin(model, [0.6, 0.0]) == 0.0
         assert exact_smoothed_prob(model, [0.6, 0.0], 1.0) == 0.5
 
     def test_frozen_values(self):
@@ -82,7 +81,7 @@ class TestTrueRobustRadius:
             model = LinearModel(rng.normal(size=2), rng.normal())
             x = rng.normal(size=2) * 2.0
             sigma = rng.uniform(0.2, 2.0)
-            scaled = abs(model.margin(x)) / (sigma * np.linalg.norm(model.w))
+            scaled = abs(margin(model, x)) / (sigma * np.linalg.norm(model.w))
             if not 1e-3 < scaled < 5.0:
                 continue
             pa = exact_smoothed_prob(model, x, sigma)
@@ -156,7 +155,7 @@ class TestWorstCase:
     def test_top_label_at_anchor(self):
         """At x' = x the projection is zero, below any nonnegative threshold."""
         clf = make_worst_case(np.zeros(2), [1.0, 0.0], 0.8, 1.0)
-        assert clf.classify([0.0, 0.0]) == clf.label_top
+        assert clf.classify([0.0, 0.0]) == 0
 
     def test_probability_saturates_bound(self):
         """Exact translated probabilities reproduce the worst-case curves."""
@@ -169,8 +168,8 @@ class TestWorstCase:
             direction = rng.normal(size=3)
             delta = r * direction / np.linalg.norm(direction)
             clf = make_worst_case(x, direction, pa, sigma)
-            assert exact_worst_case_top_prob(clf, x, sigma) == pytest.approx(pa, abs=1e-9)
-            assert exact_worst_case_top_prob(clf, x + delta, sigma) == pytest.approx(
+            assert exact_label0_prob(clf, x, sigma) == pytest.approx(pa, abs=1e-9)
+            assert exact_label0_prob(clf, x + delta, sigma) == pytest.approx(
                 worst_case_top_prob(pa, sigma, r), abs=1e-9)
 
     def test_vote_flips_just_past_certified_radius(self):
@@ -179,12 +178,12 @@ class TestWorstCase:
         radius = sigma * reference.normal_quantile(pa)
         delta = np.array([radius + 0.01, 0.0])
         clf = make_worst_case(np.zeros(2), delta, pa, sigma)
-        assert exact_worst_case_top_prob(clf, delta, sigma) < 0.5
+        assert exact_label0_prob(clf, delta, sigma) < 0.5
 
     def test_monte_carlo_agreement(self):
         clf = make_worst_case(np.zeros(2), [1.0, 1.0], 0.841345, 1.0)
         counts = sample_under_noise(clf, np.zeros(2), 50_000, 1.0, NoiseStream(9), 0)
-        p_hat = counts[clf.label_top] / counts.total
+        p_hat = counts[0] / counts.total
         assert abs(p_hat - 0.841345) < 4 * math.sqrt(0.8413 * 0.1587 / 50_000)
 
 

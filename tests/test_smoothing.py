@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import margin
 from smoothcert.bounds import max_certifiable_radius
 from smoothcert.modelio import load_model
 from smoothcert.noise import BLOCK_DEVIATES, NoiseStream, block_rows
@@ -185,7 +186,7 @@ class TestPredict:
         opposite = 0
         for i in range(20):
             x = rng.normal(0.0, 1.5, size=2)
-            if abs(model.margin(x)) < 0.05:
+            if abs(margin(model, x)) < 0.05:
                 continue
             outcome = predict(model, params, x, NoiseStream(77), example_id=i)
             if not outcome.abstained and outcome.label != model.classify(x):
