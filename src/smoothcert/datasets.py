@@ -31,16 +31,21 @@ def read_csv(path) -> tuple[np.ndarray, np.ndarray]:
         header = next(reader, None)
         if header is None or "label" not in header:
             raise ValueError(f"{path}: expected a CSV header with a 'label' column")
+        if header.count("label") > 1:
+            raise ValueError(f"{path}:1: more than one 'label' column")
         label_idx = header.index("label")
         feature_idx = [j for j in range(len(header)) if j != label_idx]
         labels, rows = [], []
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if len(row) != len(header):
+                raise ValueError(f"{path}:{line_no}: {len(row)} cells under a "
+                                 f"{len(header)}-column header")
             try:
                 labels.append(int(row[label_idx]))
                 rows.append([float(row[j]) for j in feature_idx])
-            except (ValueError, IndexError) as exc:
+            except ValueError as exc:
                 raise ValueError(f"{path}:{line_no}: malformed row") from exc
             if not all(map(math.isfinite, rows[-1])):
                 raise ValueError(f"{path}:{line_no}: non-finite feature value")

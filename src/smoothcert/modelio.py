@@ -11,9 +11,11 @@ row-major order, one parameter per line.  Kinds:
     logistic <dim> <labels>            params: W row-major, biases
     mlp      <dim> <hidden> <labels>   params: W1, b1, W2, b2
 
-A file must hold exactly the parameters its header implies, all finite, and
-labels must be integers in range(labels).  The same format serves trained
-models and the fixed constant, linear and interval classifiers.
+A file must hold exactly the parameters its header implies, all finite,
+labels must be integers in range(labels), and every dim must be >= 1 except
+a constant model's dim, where 0 means inputs of any dimension.  The same
+format serves trained models and the fixed constant, linear and interval
+classifiers.
 """
 
 from __future__ import annotations
@@ -94,6 +96,9 @@ def load_model(path):
         raise ValueError(f"{path}: {exc}") from exc
     if len(dims) != len(dim_names) or min(dims) < 0:
         raise ValueError(f"{path}: a {name} header needs the dims {' '.join(dim_names)}")
+    if 0 in (dims[1:] if name == "constant" else dims):
+        raise ValueError(f"{path}: a {name} model needs every dim >= 1; "
+                         "only a constant model takes dim 0")
     shapes = shapes_of(*dims)
     sizes = [math.prod(shape) for shape in shapes]
     if len(values) != sum(sizes):

@@ -30,7 +30,7 @@ from .bounds import tight_radius_binary
 from .noise import NoiseStream, block_rows
 from .statfun import binom_two_sided_pvalue, clopper_pearson_lower
 
-DEFAULT_BATCH_SIZE = 1000
+DEFAULT_BATCH_SIZE = 4096
 
 
 class BaseClassifier(ABC):

@@ -190,6 +190,24 @@ class TestInputValidation:
         assert code == 2
         assert "data.csv:3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["certify", "predict", "train"])
+    @pytest.mark.parametrize("text,line", [("label,x0,x1\n0,1.0,2.0,3.0\n", 2),
+                                           ("label,x0,label\n0,1.0,2.0\n", 1)],
+                             ids=["extra-cell", "two-labels"])
+    def test_rows_that_do_not_match_the_header_exit_2_naming_line(
+            self, tmp_path, capsys, linear_model_path, command, text, line):
+        data = tmp_path / "data.csv"
+        data.write_text(text)
+        out = tmp_path / "out"
+        args = {"train": ["--epochs", "1"],
+                "certify": ["--model", linear_model_path, "--sigma", "0.5", "--n0", "20",
+                            "--n", "100"],
+                "predict": ["--model", linear_model_path, "--sigma", "0.5", "--n", "100"]}
+        code = main([command, "--data", str(data), "--out", str(out), *args[command]])
+        assert code == 2
+        assert f"data.csv:{line}:" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command,args", [
         ("attack", ["--radius", "0.5", "--k", "0"]),
         ("attack", ["--radius", "0.5", "--steps", "0"]),
@@ -223,6 +241,8 @@ class TestInputValidation:
         ("linear 2 2", "1 0"),            # b missing
         ("constant 2 2", ""),             # label missing
         ("interval 1 2", "0.5\n0\n1"),    # 1-feature model on 2-feature data
+        ("logistic 0 2", "0 0"),          # 0 features: only a constant model takes dim 0
+        ("mlp 0 3 2", "0 " * 11),
     ])
     def test_bad_model_files_exit_2_naming_file(self, tmp_path, dataset_path, capsys,
                                                 header, params):

@@ -70,6 +70,17 @@ class TestCsv:
         with pytest.raises(ValueError, match="bad2.csv:3"):
             read_csv(path)
 
+    @pytest.mark.parametrize("text,line", [
+        ("label,x0,x1\n0,1.0,2.0,3.0\n", 2),     # an extra cell
+        ("label,x0,x1\n0,1.0,2.0\n1,1.0\n", 3),  # a missing cell
+        ("label,x0,label\n0,1.0,2.0\n", 1),      # a second label column
+    ], ids=["extra-cell", "missing-cell", "two-labels"])
+    def test_cells_that_do_not_match_the_header_report_line(self, tmp_path, text, line):
+        path = tmp_path / "ragged.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"ragged.csv:{line}: "):
+            read_csv(path)
+
     def test_non_finite_features_rejected(self, tmp_path):
         for text in ("nan", "inf", "-inf"):
             path = tmp_path / "nonfinite.csv"

@@ -84,11 +84,21 @@ class TestModelErrors:
         with pytest.raises(ValueError, match="cannot serialize"):
             save_model(object(), tmp_path / "x.model")
 
+    def test_only_a_constant_model_takes_dim_0(self, tmp_path):
+        path = tmp_path / "any.model"
+        path.write_text("smoothcert-model 1 constant 0 2\n1\n")
+        loaded = load_model(path)
+        assert (loaded.label, loaded.dim) == (1, 0)
+
     @pytest.mark.parametrize("text,message", [
         ("linear 2 3\n1 0\n0\n", "dims 2 2"),
         ("interval 1 2\n0.5\n0\n5\n", "label 5"),
         ("constant 2 2\n0.5\n", "label 0.5"),
         ("logistic 2 2\n1 0 0 1\ninf 0\n", "non-finite"),
+        ("logistic 0 2\n0 0\n", "only a constant model takes dim 0"),
+        ("mlp 0 3 2\n" + "0\n" * 11, "only a constant model takes dim 0"),
+        ("mlp 2 0 2\n0 0\n", "every dim >= 1"),
+        ("constant 2 0\n0\n", "every dim >= 1"),
     ])
     def test_header_and_parameter_checks(self, tmp_path, text, message):
         path = tmp_path / "bad.model"

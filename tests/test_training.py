@@ -260,6 +260,15 @@ def float64_margin(model, xs):
     return model._hidden(xs) @ (w[1] - w[0]) - (b[0] - b[1])
 
 
+def assert_screen_exact(model, xs):
+    """Labels equal the float64 labels, and the band bounds the float32 error."""
+    labels = model.classify_batch(xs)
+    assert labels.shape == (len(xs),)
+    assert np.array_equal(labels, model._classify64(xs))
+    margin, band = model._margin32(xs)
+    assert np.all(np.abs(margin - float64_margin(model, xs)) <= band)
+
+
 class TestFloat32Screen:
     """Two-label MLPs label rows from a float32 margin and send every row its
     error band cannot decide to the float64 path; every label must equal
@@ -322,6 +331,26 @@ class TestFloat32Screen:
             assert np.all(np.abs(margin - float64_margin(model, xs)) <= band)
         z = np.linspace(-12.0, 12.0, 2_000_001, dtype=np.float32)
         assert np.max(np.abs(np.tanh(z) - np.tanh(z.astype(np.float64)))) <= 2.0 * 2.0 ** -24
+
+    @pytest.mark.parametrize("layout", ["one row", "F-ordered", "strided"])
+    def test_any_batch_layout_gives_the_float64_labels(self, two_label_mlp, layout):
+        """The screen transposes the batch; single rows, column-major batches
+        and strided views must give the same labels as C-ordered ones."""
+        model, centers, sigma = two_label_mlp
+        xs = next(noisy_batches(centers, sigma, seed=3, batches=1, rows=3000))
+        if layout == "one row":
+            for i in range(0, 3000, 150):
+                assert_screen_exact(model, xs[i:i + 1])
+        else:
+            assert_screen_exact(model, np.asfortranarray(xs) if layout == "F-ordered"
+                                else xs[::3])
+
+    def test_one_input_mlp(self):
+        model = random_mlp(1, seed=1)
+        xs = np.random.default_rng(4).normal(size=(3000, 1))
+        for batch in (xs, xs[:1], np.asfortranarray(xs), xs[::3]):
+            assert_screen_exact(model, batch)
+        assert 0.2 < model.classify_batch(xs).mean() < 0.8
 
     def test_training_drops_the_float32_weights(self, separable):
         examples, features, labels = separable
